@@ -81,7 +81,7 @@ from repro.datasets import load_dataset, dataset_names
 from repro.systems import estimate_cost
 from repro import telemetry
 
-__version__ = "1.0.0"
+__version__ = "1.1.0"
 
 __all__ = [
     "__version__",

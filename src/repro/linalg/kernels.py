@@ -1,4 +1,4 @@
-"""Shared parallel single-precision linear-algebra kernels (the MKL analog).
+"""Shared parallel linear-algebra kernels (the MKL analog).
 
 The paper's dense stages all run on MKL's *single-precision* routines
 (``mkl_sparse_s_mm`` / ``sgeqrf`` / ``sgesvd``) with every SPMM threaded.
@@ -21,13 +21,15 @@ This module is the Python counterpart those stages dispatch through:
   ``d×d`` / ``sketch×sketch`` reductions of the single-precision pipeline
   keep double-precision sums (the one place MKL's ``s`` routines lose the
   most accuracy).
-* :func:`cholesky_qr` / :func:`orthonormalize` — fast tall-skinny
-  orthonormalization: Cholesky-QR (one Gram + one triangular solve, both
-  BLAS-3) with an automatic Householder-QR fallback on ill-conditioned or
+* :func:`orthonormalize` — the one tall-skinny orthonormalizer, for every
+  precision and factorizer: CholeskyQR2, i.e. two :func:`cholesky_qr`
+  passes (each one float64-accumulated Gram + one GEMM, both BLAS-3), with
+  an automatic, counted Householder-QR fallback on ill-conditioned or
   rank-deficient blocks.
 * :func:`gram_rescale` — ProNE's re-orthogonalization without the full
   ``n×d`` dense SVD: ``eigh`` of the ``d×d`` Gram matrix recovers the same
-  ``U_d Σ_d^{1/2}`` up to column sign at a fraction of the cost and memory.
+  ``U_d Σ_d^{1/2}`` up to column sign at a fraction of the cost and memory;
+  :func:`repro.linalg.spectral.rescale_embedding` always takes this route.
 
 Telemetry: each :func:`spmm` call bumps the ``spmm.calls`` / ``spmm.flops``
 / ``spmm.bytes`` counters, sets the ``spmm.gflops`` gauge to the call's
@@ -73,7 +75,7 @@ def resolve_precision(precision: Union[str, np.dtype, None]) -> np.dtype:
     """Map the ``precision`` knob to a numpy dtype.
 
     ``"single"`` → float32 (the paper's MKL ``s``-routines), ``"double"`` /
-    ``None`` → float64 (numpy's default, the bit-compatible legacy path).
+    ``None`` → float64 (numpy's default).
     Raw dtypes pass through when they already name one of the two.
     """
     if precision is None or precision == "double":
@@ -423,23 +425,36 @@ def gram(
     float32 pipeline keeps double-precision sums exactly where MKL's
     ``s``-routines are weakest — the small ``d×d`` / ``sketch×sketch``
     reductions — without ever materializing a float64 copy of the ``n×d``
-    operand.
+    operand.  Each row block is upcast once per operand (``aᵀa`` upcasts
+    ``a``'s block once, not twice) and released before the next block is
+    upcast, so the float64 transient never exceeds one block per operand.
     """
-    b = a if b is None else b
-    if a.shape[0] != b.shape[0]:
-        raise FactorizationError(f"gram shape mismatch: {a.shape} vs {b.shape}")
-    if a.dtype == np.float64 and b.dtype == np.float64:
-        return a.T @ b
-    out = np.zeros((a.shape[1], b.shape[1]), dtype=np.float64)
+    other = a if b is None else b
+    if a.shape[0] != other.shape[0]:
+        raise FactorizationError(f"gram shape mismatch: {a.shape} vs {other.shape}")
+    if a.dtype == np.float64 and other.dtype == np.float64:
+        return a.T @ other
+    out = np.zeros((a.shape[1], other.shape[1]), dtype=np.float64)
     total = a.shape[0]
     chunks = max(1, -(-total // block_rows))
     for r0, r1 in chunk_ranges(total, chunks):
-        out += a[r0:r1].astype(np.float64).T @ b[r0:r1].astype(np.float64)
+        left = a[r0:r1].astype(np.float64)
+        right = left if b is None else b[r0:r1].astype(np.float64)
+        out += left.T @ right
+        # Free this block's upcasts before the next block's are made.
+        del left, right
     return out
 
 
+def _float_block(block: np.ndarray) -> np.ndarray:
+    """``block`` as a floating array; other dtypes upcast to float64 (as
+    ``np.linalg.qr`` does), so integer input never yields an integer basis."""
+    block = np.asarray(block)
+    return block if block.dtype.kind == "f" else block.astype(np.float64)
+
+
 def cholesky_qr(block: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of ``range(block)`` via Cholesky-QR.
+    """Orthonormal basis of ``range(block)`` via one Cholesky-QR pass.
 
     Computes ``G = blockᵀ block`` (float64 accumulation), factors
     ``G = L Lᵀ`` and returns ``Q = block L⁻ᵀ`` — two BLAS-3 calls instead of
@@ -448,15 +463,14 @@ def cholesky_qr(block: np.ndarray) -> np.ndarray:
     rank-deficient Gram matrices (non-finite entries, failed factorization,
     or condition beyond the working precision's safe range) fall back to
     ``np.linalg.qr``; fallbacks count under the
-    ``linalg.cholesky_qr_fallbacks`` telemetry counter.
+    ``linalg.cholesky_qr_fallbacks`` telemetry counter.  Non-floating input
+    is upcast to float64.
     """
-    block = np.asarray(block)
+    block = _float_block(block)
     if block.ndim != 2:
         raise FactorizationError(f"cholesky_qr expects a 2-D block, got {block.ndim}-D")
     g = gram(block)
-    eps = float(np.finfo(block.dtype).eps) if block.dtype.kind == "f" else float(
-        np.finfo(np.float64).eps
-    )
+    eps = float(np.finfo(block.dtype).eps)
     try:
         if not np.all(np.isfinite(g)):
             raise np.linalg.LinAlgError("non-finite Gram matrix")
@@ -477,21 +491,17 @@ def cholesky_qr(block: np.ndarray) -> np.ndarray:
     return block @ inv_lower.T.astype(block.dtype, copy=False)
 
 
-def orthonormalize(block: np.ndarray, *, strategy: str = "qr") -> np.ndarray:
+def orthonormalize(block: np.ndarray) -> np.ndarray:
     """Orthonormalize ``block`` — the sgeqrf/sorgqr pair of Algorithm 3.
 
-    ``strategy="qr"`` is Householder QR (the legacy, bit-compatible double
-    path); ``"cholesky"`` is :func:`cholesky_qr` (the fast single-precision
-    path, with its built-in QR fallback).
+    CholeskyQR2: two :func:`cholesky_qr` passes.  The first pass leaves an
+    orthogonality error of order ``eps·cond(block)²``; the second, on an
+    almost-orthonormal input, brings it down to Householder's level while
+    both passes stay BLAS-3.  Blocks too ill-conditioned for the first pass
+    take :func:`cholesky_qr`'s counted Householder fallback.  One path for
+    every precision and factorizer.
     """
-    if strategy == "qr":
-        q, _ = np.linalg.qr(block)
-        return q
-    if strategy == "cholesky":
-        return cholesky_qr(block)
-    raise FactorizationError(
-        f"orthonormalize strategy must be 'qr' or 'cholesky', got {strategy!r}"
-    )
+    return cholesky_qr(cholesky_qr(block))
 
 
 def gram_rescale(
@@ -499,15 +509,14 @@ def gram_rescale(
 ) -> np.ndarray:
     """``U_d Σ_d^{1/2}`` of ``matrix`` via ``eigh`` of the ``d×d`` Gram matrix.
 
-    Replaces the full ``n×d`` dense SVD of
-    :func:`repro.linalg.spectral.rescale_embedding` with the Gram trick:
+    ProNE's re-orthogonalization without the full ``n×d`` dense SVD:
     ``MᵀM = V Σ² Vᵀ`` gives the right singular vectors and values, and
     ``U = M V Σ⁻¹`` recovers the left ones — one small ``eigh`` plus one
-    GEMM, matching the SVD-based rescale up to column sign.  The output
-    keeps ``matrix``'s dtype (the Gram matrix itself is accumulated in
-    float64 via :func:`gram`).
+    GEMM, equal to the SVD-based rescale up to column sign.  The output
+    keeps ``matrix``'s floating dtype (other dtypes upcast to float64); the
+    Gram matrix itself is accumulated in float64 via :func:`gram`.
     """
-    matrix = np.asarray(matrix)
+    matrix = _float_block(matrix)
     if dimension is None:
         dimension = matrix.shape[1]
     if dimension < 1 or dimension > matrix.shape[1]:

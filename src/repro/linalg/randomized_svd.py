@@ -13,21 +13,21 @@ pseudo-code (with the MKL routine used per line) is:
     8  SVD C = U Σ Vᵀ                               # sgesvd
     9  return Z U, Σ, Y V                           # cblas_sgemm
 
-We reproduce exactly this two-sided sketch with numpy's QR/SVD standing in
-for LAPACK, add the standard oversampling and power-iteration knobs, and
-accept anything with ``@``/``.T`` semantics — scipy sparse matrices, dense
-arrays, or :class:`scipy.sparse.linalg.LinearOperator` (the NRP baseline
-factorizes an *implicit* polynomial operator through the same code path).
+We reproduce exactly this two-sided sketch with numpy/LAPACK routines, add
+the standard oversampling and power-iteration knobs, and accept anything
+with ``@``/``.T`` semantics — scipy sparse matrices, dense arrays, or
+:class:`scipy.sparse.linalg.LinearOperator` (the NRP baseline factorizes
+an *implicit* polynomial operator through the same code path).
 
 All SPMMs dispatch through the shared kernel layer
 (:mod:`repro.linalg.kernels`): ``workers`` threads the sparse products over
 contiguous row/column blocks (bit-identical to the serial result at every
 width), and ``precision="single"`` mirrors MKL's ``s``-routines — the
-operator and every sketch block are cast to float32 once, Cholesky-QR
-replaces Householder QR for the tall-skinny orthonormalizations, and only
-the small ``sketch×sketch`` reduction (line 7) accumulates in float64.  The
-default (``precision="double"``, any ``workers``) is bit-identical to the
-historical all-float64 implementation.
+operator and every sketch block are cast to float32 once and only the small
+``sketch×sketch`` reduction (line 7) accumulates in float64.  Lines 3 and 6
+(and the power iterations) use the kernel layer's one orthonormalizer,
+CholeskyQR2 (:func:`repro.linalg.kernels.orthonormalize`), at both
+precisions; the result is bit-identical for every ``workers``.
 """
 
 from __future__ import annotations
@@ -119,10 +119,10 @@ def randomized_svd(
     seed:
         RNG seed or generator.
     precision:
-        ``"double"`` (default, bit-compatible float64) or ``"single"`` — the
-        paper's MKL dtype policy: cast the operator and sketches to float32
-        once, orthonormalize with Cholesky-QR, keep float64 accumulation
-        only in the small ``sketch×sketch`` reduction.
+        ``"double"`` (default, float64) or ``"single"`` — the paper's MKL
+        dtype policy: cast the operator and sketches to float32 once, keep
+        float64 accumulation only in the Gram matrices and the small
+        ``sketch×sketch`` reduction.
     workers:
         Thread count for the sparse products (``None`` = one per core,
         capped at 8).  The result is bit-identical for every value.
@@ -135,8 +135,6 @@ def randomized_svd(
     """
     rng = ensure_rng(seed)
     dtype = resolve_precision(precision)
-    single = dtype == np.float32
-    ortho = "cholesky" if single else "qr"
     rows, cols = matrix.shape
     if rank < 1:
         raise FactorizationError(f"rank must be >= 1, got {rank}")
@@ -148,7 +146,7 @@ def randomized_svd(
         raise FactorizationError(f"oversampling must be >= 0, got {oversampling}")
     sketch = min(rank + oversampling, min(rows, cols))
 
-    if single and hasattr(matrix, "astype") and matrix.dtype != dtype:
+    if dtype == np.float32 and hasattr(matrix, "astype") and matrix.dtype != dtype:
         matrix = matrix.astype(dtype)  # cast the operator once, like MKL's s-path
 
     # Line 1-3: Y = Aᵀ O, orthonormalized.  The sketch consumes the same
@@ -157,17 +155,13 @@ def randomized_svd(
     # materializing then casting the whole float64 array.
     with telemetry.span("svd.range_finder", rank=rank, sketch=sketch):
         omega = _gaussian_sketch(rng, (rows, sketch), dtype)
-        y = orthonormalize(_rmatmat(matrix, omega, workers=workers), strategy=ortho)
+        y = orthonormalize(_rmatmat(matrix, omega, workers=workers))
         telemetry.counter("svd.operator_passes").inc()
     # Optional subspace iteration (QR-stabilized).
     for iteration in range(power_iterations):
         with telemetry.span("svd.power_iteration", iteration=iteration) as span:
-            forward = orthonormalize(
-                _matmat(matrix, y, workers=workers), strategy=ortho
-            )
-            y = orthonormalize(
-                _rmatmat(matrix, forward, workers=workers), strategy=ortho
-            )
+            forward = orthonormalize(_matmat(matrix, y, workers=workers))
+            y = orthonormalize(_rmatmat(matrix, forward, workers=workers))
             telemetry.counter("svd.operator_passes").inc(2)
         elapsed = getattr(span, "duration", None)
         if elapsed is not None:
@@ -178,15 +172,14 @@ def randomized_svd(
         telemetry.counter("svd.operator_passes").inc()
         # Lines 5-6: Z = orth(B P) with P Gaussian (sketch × sketch).
         p = _gaussian_sketch(rng, (sketch, sketch), dtype)
-        z = orthonormalize(b @ p, strategy=ortho)
-        # Lines 7-8: small SVD of C = Zᵀ B.  In single precision the big-n
-        # reduction accumulates in float64 (the d×d/sketch×sketch exception
-        # to the float32 policy) and the small SVD runs in float64 too.
-        c = gram(z, b) if single else z.T @ b
+        z = orthonormalize(b @ p)
+        # Lines 7-8: small SVD of C = Zᵀ B.  The big-n reduction accumulates
+        # in float64 (the d×d/sketch×sketch exception to the float32 policy)
+        # and the small SVD runs in float64 too.
+        c = gram(z, b)
         u_small, sigma, vt_small = np.linalg.svd(c, full_matrices=False)
-        if single:
-            u_small = u_small.astype(dtype)
-            vt_small = vt_small.astype(dtype)
+        u_small = u_small.astype(dtype, copy=False)
+        vt_small = vt_small.astype(dtype, copy=False)
         # Line 9: map back. Columns of (Z U) approximate left singular
         # vectors of A restricted to range(Y); right vectors are Y V.
         u = z @ u_small[:, :rank]

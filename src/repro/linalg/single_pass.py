@@ -269,7 +269,6 @@ def single_pass_svd(
     """
     rng = ensure_rng(seed)
     dtype = resolve_precision(precision)
-    single = dtype == np.float32
     rows, cols = matrix.shape
     if rank < 1:
         raise FactorizationError(f"rank must be >= 1, got {rank}")
@@ -290,22 +289,19 @@ def single_pass_svd(
             f"symmetric single-pass factorization needs a square matrix, "
             f"got {matrix.shape}"
         )
-    if single and hasattr(matrix, "astype") and matrix.dtype != dtype:
+    if dtype == np.float32 and hasattr(matrix, "astype") and matrix.dtype != dtype:
         matrix = matrix.astype(dtype)  # cast the operator once (MKL s-path)
-    ortho = "cholesky" if single else "qr"
     co_width = _co_range_width(width, rows)
-    sketch_dtype = dtype if single else np.float64
 
     with telemetry.span(
         "sketch.generate", width=width, co_width=co_width,
         nnz_per_row=nnz_per_row, symmetric=symmetric,
     ):
         omega = sparse_sign_sketch(
-            cols, width, nnz_per_row=nnz_per_row, seed=rng, dtype=sketch_dtype
+            cols, width, nnz_per_row=nnz_per_row, seed=rng, dtype=dtype
         )
         psi = sparse_sign_sketch(
-            rows, co_width, nnz_per_row=nnz_per_row, seed=rng,
-            dtype=sketch_dtype,
+            rows, co_width, nnz_per_row=nnz_per_row, seed=rng, dtype=dtype
         )
         telemetry.gauge("sketch.width").set(width)
         telemetry.gauge("sketch.density").set(sketch_density(omega))
@@ -345,7 +341,7 @@ def single_pass_svd(
     with telemetry.span(
         "sketch.core", width=width, co_width=co_width, symmetric=symmetric
     ):
-        q = orthonormalize(np.ascontiguousarray(y), strategy=ortho)
+        q = orthonormalize(np.ascontiguousarray(y))
         psi_t_q = _sparse_cross(psi, q)  # ΨᵀQ, (2w+1) × w, float64
         if symmetric:
             # C = (ΨᵀQ)⁺ (ΨᵀA Q) ≈ QᵀAQ without ever forming X = QᵀA:
@@ -355,10 +351,7 @@ def single_pass_svd(
             eigenvalues, eigenvectors = np.linalg.eigh(core)
             order = np.argsort(np.abs(eigenvalues), kind="stable")[::-1][:rank]
             spectrum = eigenvalues[order]
-            small = eigenvectors[:, order]
-            if single:
-                small = small.astype(dtype)
-            u = q @ small
+            u = q @ eigenvectors[:, order].astype(dtype, copy=False)
             sigma = np.abs(spectrum)
             signs = np.where(spectrum < 0.0, -1.0, 1.0).astype(u.dtype)
             vt = (u * signs[None, :]).T
@@ -369,14 +362,9 @@ def single_pass_svd(
                 psi_t_q, z.T.astype(np.float64, copy=False), rcond=None
             )
             u_small, sigma_all, vt_all = np.linalg.svd(x, full_matrices=False)
-            small = u_small[:, :rank]
-            if single:
-                small = small.astype(dtype)
-            u = q @ small
+            u = q @ u_small[:, :rank].astype(dtype, copy=False)
             sigma = sigma_all[:rank]
-            vt = vt_all[:rank]
-            if single:
-                vt = vt.astype(dtype)
+            vt = vt_all[:rank].astype(dtype, copy=False)
     return u, sigma, vt
 
 

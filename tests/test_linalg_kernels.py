@@ -1,10 +1,12 @@
-"""Tests for the shared parallel single-precision kernel layer.
+"""Tests for the shared parallel linear-algebra kernel layer.
 
-Locks the layer's two load-bearing guarantees: threaded SPMM is
-**bit-identical** to scipy's serial product at every worker count, and the
-``precision="double"`` pipeline is bit-identical to the historical all-float64
-implementation (the reference recurrences are re-stated inline here in their
-original, allocation-heavy form).
+Locks the layer's load-bearing guarantees: threaded SPMM is
+**bit-identical** to scipy's serial product at every worker count; the
+double-precision Chebyshev filter is bit-identical to the historical
+recurrence, and the Gram-route rescale matches the historical dense-SVD
+rescale up to column sign (both references are re-stated inline here in
+their original form); and the one orthonormalizer (CholeskyQR2) meets
+Householder-grade orthogonality and subspace bounds at either precision.
 """
 
 from __future__ import annotations
@@ -224,10 +226,36 @@ class TestGram:
 
 
 def _subspace_distance(q1: np.ndarray, q2: np.ndarray) -> float:
-    """sin of the largest principal angle between the column spaces."""
-    overlap = q1.astype(np.float64).T @ q2.astype(np.float64)
-    singular = np.linalg.svd(overlap, compute_uv=False)
-    return float(np.sqrt(max(0.0, 1.0 - singular.min() ** 2)))
+    """sin of the largest principal angle between the column spaces.
+
+    Computed as ``‖(I − Q1Q1ᵀ)Q2‖₂`` rather than ``sqrt(1 − cos²)``, whose
+    cancellation floors at ``sqrt(eps)`` ≈ 1.5e-8 in float64.
+    """
+    q1 = q1.astype(np.float64)
+    q2 = q2.astype(np.float64)
+    return float(np.linalg.norm(q2 - q1 @ (q1.T @ q2), 2))
+
+
+def _conditioned_block(rng, rows, cols, cond, dtype):
+    """Gaussian × diag(logspace) × random rotation: condition ≈ ``cond``
+    with a non-diagonal Gram matrix."""
+    gaussian = rng.standard_normal((rows, cols))
+    scales = np.logspace(0.0, -np.log10(cond), cols)
+    rotation = np.linalg.qr(rng.standard_normal((cols, cols)))[0]
+    return ((gaussian * scales[None, :]) @ rotation).astype(dtype)
+
+
+def _fallbacks(fn, *args):
+    """``fn(*args)`` and the number of Cholesky-QR fallbacks it counted."""
+    from repro import telemetry
+
+    telemetry.enable()
+    telemetry.reset_metrics()
+    try:
+        result = fn(*args)
+        return result, telemetry.counter("linalg.cholesky_qr_fallbacks").value
+    finally:
+        telemetry.disable()
 
 
 class TestCholeskyQR:
@@ -273,37 +301,100 @@ class TestCholeskyQR:
         with pytest.raises(FactorizationError):
             cholesky_qr(rng.standard_normal(10))
 
-    def test_orthonormalize_strategies(self, rng):
-        block = rng.standard_normal((80, 6))
-        q_qr = orthonormalize(block, strategy="qr")
-        q_ch = orthonormalize(block, strategy="cholesky")
-        assert _subspace_distance(q_qr, q_ch) < 1e-6
-        with pytest.raises(FactorizationError):
-            orthonormalize(block, strategy="gram-schmidt")
+    def test_integer_input_upcast_to_float64(self, rng):
+        block = rng.integers(-5, 6, (200, 6))
+        for q in (cholesky_qr(block), orthonormalize(block)):
+            assert q.dtype == np.float64
+            assert np.abs(q.T @ q - np.eye(6)).max() <= 1e-13
+            assert _subspace_distance(q, np.linalg.qr(block)[0]) <= 1e-12
+
+
+class TestOrthonormalize:
+    """CholeskyQR2 — the one orthonormalizer — against Householder QR."""
+
+    @pytest.mark.parametrize(
+        "dtype, cond, orth_tol, sine_tol, residual_tol",
+        [
+            (np.float64, 1e6, 1e-13, 1e-8, 1e-12),
+            # float32 analogue: condition ~1e3 sits as deep inside
+            # CholeskyQR2's safe range (cond < eps^-1/2 ≈ 3e3) as 1e6 does
+            # in float64 (≈ 7e7); bounds scale with float32's eps.
+            (np.float32, 1e3, 1e-6, 1e-4, 1e-6),
+        ],
+        ids=["float64", "float32"],
+    )
+    def test_ill_conditioned_block(
+        self, rng, dtype, cond, orth_tol, sine_tol, residual_tol
+    ):
+        block = _conditioned_block(rng, 2000, 24, cond, dtype)
+        q, fallbacks = _fallbacks(orthonormalize, block)
+        assert fallbacks == 0  # the Cholesky fast path ran, both passes
+        assert q.dtype == dtype and q.shape == block.shape
+        q64, b64 = q.astype(np.float64), block.astype(np.float64)
+        assert np.abs(q64.T @ q64 - np.eye(24)).max() <= orth_tol
+        householder, _ = np.linalg.qr(block)
+        assert _subspace_distance(householder, q) <= sine_tol
+        residual = np.linalg.norm(q64 @ (q64.T @ b64) - b64) / np.linalg.norm(b64)
+        assert residual <= residual_tol
+
+    def test_rank_deficient_falls_back_and_is_counted(self, rng):
+        base = rng.standard_normal((100, 3))
+        block = np.hstack([base, base[:, :2]])  # rank 3, 5 columns
+        q, fallbacks = _fallbacks(orthonormalize, block)
+        assert fallbacks == 1  # first pass only; Householder Q passes the second
+        assert q.shape == (100, 5)
+        assert np.abs(q.T @ q - np.eye(5)).max() <= 1e-13
+        residual = np.linalg.norm(q @ (q.T @ block) - block) / np.linalg.norm(block)
+        assert residual <= 1e-12
+
+    def test_one_route_no_knobs(self, rng):
+        import inspect
+
+        assert list(inspect.signature(orthonormalize).parameters) == ["block"]
+        assert list(inspect.signature(rescale_embedding).parameters) == [
+            "matrix", "dimension",
+        ]
+        with pytest.raises(TypeError):
+            rescale_embedding(rng.standard_normal((10, 4)), method="svd")
 
 
 class TestGramRescale:
+    @staticmethod
+    def _reference_rescale(matrix, dimension):
+        """The historical full dense-SVD rescale, re-stated verbatim."""
+        matrix = np.asarray(matrix, dtype=np.float64)
+        u, sigma, _ = np.linalg.svd(matrix, full_matrices=False)
+        return u[:, :dimension] * np.sqrt(sigma[:dimension])[None, :]
+
+    @staticmethod
+    def _assert_equal_up_to_sign(actual, expected, atol):
+        signs = np.sign(np.sum(expected * actual, axis=0))
+        signs[signs == 0] = 1.0
+        np.testing.assert_allclose(actual * signs[None, :], expected, atol=atol)
+
     def test_matches_svd_rescale_up_to_sign(self, rng):
         matrix = rng.standard_normal((200, 16))
-        via_svd = rescale_embedding(matrix, 10, method="svd")
-        via_gram = gram_rescale(matrix, 10)
-        signs = np.sign(np.sum(via_svd * via_gram, axis=0))
-        signs[signs == 0] = 1.0
-        np.testing.assert_allclose(via_gram * signs[None, :], via_svd, atol=1e-8)
+        self._assert_equal_up_to_sign(
+            gram_rescale(matrix, 10), self._reference_rescale(matrix, 10), 1e-8
+        )
+
+    def test_rescale_embedding_matches_svd_reference(self, rng):
+        matrix = _conditioned_block(rng, 500, 12, 1e2, np.float64)
+        out = rescale_embedding(matrix, 8)
+        assert out.dtype == np.float64 and out.shape == (500, 8)
+        self._assert_equal_up_to_sign(
+            out, self._reference_rescale(matrix, 8), 1e-8
+        )
 
     def test_keeps_float32(self, rng):
         matrix = rng.standard_normal((150, 8)).astype(np.float32)
         assert gram_rescale(matrix).dtype == np.float32
 
-    def test_rescale_embedding_gram_method(self, rng):
-        matrix = rng.standard_normal((120, 6))
-        np.testing.assert_array_equal(
-            rescale_embedding(matrix, method="gram"), gram_rescale(matrix)
-        )
-
-    def test_rescale_embedding_rejects_unknown_method(self, rng):
-        with pytest.raises(FactorizationError):
-            rescale_embedding(rng.standard_normal((10, 4)), method="lanczos")
+    def test_integer_input_upcast_to_float64(self, rng):
+        matrix = rng.integers(-5, 6, (200, 6))
+        out = gram_rescale(matrix)
+        assert out.dtype == np.float64
+        np.testing.assert_array_equal(out, gram_rescale(matrix.astype(np.float64)))
 
     def test_invalid_dimension(self, rng):
         with pytest.raises(FactorizationError):

@@ -87,6 +87,57 @@ class TestAccuracy:
         np.testing.assert_allclose(a[0], b[0])
 
 
+def sparse_gapped_matrix(n, rank, rng, *, block=40, tail=0.01):
+    """Sparse symmetric matrix with a top-``rank`` spectrum over a tiny tail.
+
+    ``rank`` disjoint constant diagonal blocks carry eigenvalues 10 → 1; a
+    symmetric sparse noise of spectral norm ~``tail`` sits under them, so
+    the gap after ``rank`` is ~100x.
+    """
+    values = np.linspace(10.0, 1.0, rank)
+    blocks = [np.full((block, block), v / block) for v in values]
+    planted = sp.block_diag(blocks + [sp.csr_matrix((n - rank * block,) * 2)])
+    noise = sp.random(n, n, density=0.01, random_state=rng, format="csr")
+    noise = noise + noise.T
+    noise *= tail / spla.norm(noise, 1)
+    return (planted + noise).tocsr()
+
+
+def householder_randomized_svd(matrix, rank, *, seed, oversampling=10,
+                               power_iterations=2):
+    """Algorithm 3 re-stated with Householder QR for every orthonormalization
+    (the pre-CholeskyQR2 double path, drawing the same Gaussian sketches)."""
+    rng = np.random.default_rng(seed)
+    rows, cols = matrix.shape
+    sketch = min(rank + oversampling, rows, cols)
+
+    def orth(block):
+        return np.linalg.qr(block)[0]
+
+    y = orth(matrix.T @ rng.standard_normal((rows, sketch)))
+    for _ in range(power_iterations):
+        y = orth(matrix.T @ orth(matrix @ y))
+    b = matrix @ y
+    z = orth(b @ rng.standard_normal((sketch, sketch)))
+    u_small, sigma, vt_small = np.linalg.svd(z.T @ b, full_matrices=False)
+    return z @ u_small[:, :rank], sigma[:rank], (y @ vt_small[:rank].T).T
+
+
+class TestKernelAccuracyPin:
+    """The CholeskyQR2 kernel changes rounding only, not the subspace."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_householder_reference(self, rng, seed):
+        matrix = sparse_gapped_matrix(600, 8, rng)
+        u, sigma, vt = randomized_svd(matrix, 8, seed=seed)
+        u_ref, sigma_ref, vt_ref = householder_randomized_svd(matrix, 8, seed=seed)
+        np.testing.assert_allclose(sigma, sigma_ref, rtol=1e-10, atol=0.0)
+        approx = (u * sigma) @ vt
+        reference = (u_ref * sigma_ref) @ vt_ref
+        error = np.linalg.norm(approx - reference) / np.linalg.norm(reference)
+        assert error <= 1e-8
+
+
 class TestValidation:
     def test_rank_too_large(self):
         with pytest.raises(FactorizationError):
