@@ -63,3 +63,11 @@ class UnknownMethodError(ReproError):
 
 class MethodParameterError(ReproError):
     """A parameter override is invalid or unsupported for the chosen method."""
+
+
+class WorkerError(ReproError):
+    """A process-pool worker died before finishing its tasks.
+
+    Raised by :func:`repro.utils.parallel.parallel_map`; the message names
+    the stage label and ``__cause__`` is the executor's ``BrokenProcessPool``.
+    """

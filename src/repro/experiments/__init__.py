@@ -9,18 +9,6 @@ subpackage; users can run the same comparisons from their own code:
 ...                              multiplier=1.0)   # doctest: +SKIP
 """
 
-from repro.experiments.runner import (
-    format_table,
-    run_link_prediction_comparison,
-    run_method_comparison,
-    run_multiplier_sweep,
-    run_stage_breakdown,
-)
+from repro.experiments.runner import format_table, run_method_comparison
 
-__all__ = [
-    "format_table",
-    "run_method_comparison",
-    "run_link_prediction_comparison",
-    "run_multiplier_sweep",
-    "run_stage_breakdown",
-]
+__all__ = ["format_table", "run_method_comparison"]

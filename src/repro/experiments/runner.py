@@ -17,11 +17,7 @@ from repro.datasets import LabeledGraph, load_dataset
 from repro.embedding.base import EmbeddingResult
 from repro.embedding.registry import canonical_name, run_method
 from repro.errors import EvaluationError
-from repro.eval import (
-    evaluate_link_prediction,
-    evaluate_node_classification,
-    train_test_split_edges,
-)
+from repro.eval import evaluate_node_classification
 from repro.systems.cost import SYSTEM_INSTANCE, estimate_cost
 
 DEFAULT_SEED = 2021
@@ -128,111 +124,6 @@ def run_method_comparison(
             row[f"micro@{ratio:g}"] = round(100 * score.micro_f1, 2)
             row[f"macro@{ratio:g}"] = round(100 * score.macro_f1, 2)
         rows.append(row)
-    return rows
-
-
-def run_link_prediction_comparison(
-    dataset: Union[str, LabeledGraph],
-    methods: Sequence[str],
-    *,
-    dimension: int = 32,
-    window: int = 5,
-    multiplier: float = 2.0,
-    test_fraction: float = 0.02,
-    num_negatives: int = 100,
-    workers: Optional[int] = None,
-    seed: int = DEFAULT_SEED,
-) -> List[Row]:
-    """PBG-protocol comparison (the §5.2.1 table shape)."""
-    bundle = _resolve(dataset, seed)
-    train, pos_u, pos_v = train_test_split_edges(
-        bundle.graph, test_fraction, seed=seed
-    )
-    rows: List[Row] = []
-    for method in methods:
-        result = dispatch_method(
-            method, train, dimension=dimension, window=window,
-            multiplier=multiplier, workers=workers, seed=seed,
-        )
-        metrics = evaluate_link_prediction(
-            result.vectors, pos_u, pos_v, num_negatives=num_negatives,
-            ks=(1, 10, 50), seed=seed,
-        )
-        rows.append(
-            {
-                "method": method,
-                "time_s": round(result.total_seconds, 3),
-                "cost_$": _cost(method, result.total_seconds),
-                "MR": round(metrics.mean_rank, 2),
-                "MRR": round(metrics.mrr, 3),
-                "HITS@10": round(metrics.hits[10], 3),
-            }
-        )
-    return rows
-
-
-def run_multiplier_sweep(
-    dataset: Union[str, LabeledGraph],
-    multipliers: Sequence[float],
-    *,
-    ratio: float = 0.1,
-    dimension: int = 32,
-    window: int = 10,
-    repeats: int = 2,
-    seed: int = DEFAULT_SEED,
-) -> List[Row]:
-    """The Figure-2 sweep: LightNE quality/time as M grows."""
-    bundle = _resolve(dataset, seed)
-    if bundle.labels is None:
-        raise EvaluationError(f"dataset {bundle.name!r} has no labels")
-    rows: List[Row] = []
-    for multiplier in multipliers:
-        result = dispatch_method(
-            "lightne", bundle.graph, dimension=dimension, window=window,
-            multiplier=multiplier, seed=seed,
-        )
-        score = evaluate_node_classification(
-            result.vectors, bundle.labels, ratio, repeats=repeats, seed=seed
-        )
-        rows.append(
-            {
-                "M": f"{multiplier:g}Tm",
-                "time_s": round(result.total_seconds, 3),
-                "nnz": result.info["sparsifier_nnz"],
-                f"micro@{ratio:g}": round(100 * score.micro_f1, 2),
-            }
-        )
-    return rows
-
-
-def run_stage_breakdown(
-    dataset: Union[str, LabeledGraph],
-    configs: Sequence[tuple],
-    *,
-    dimension: int = 32,
-    window: int = 10,
-    seed: int = DEFAULT_SEED,
-) -> List[Row]:
-    """The Table-5 shape: per-stage seconds per (name, method, multiplier)."""
-    bundle = _resolve(dataset, seed)
-    rows: List[Row] = []
-    for name, method, multiplier in configs:
-        result = dispatch_method(
-            method, bundle.graph, dimension=dimension, window=window,
-            multiplier=multiplier if multiplier is not None else 1.0, seed=seed,
-        )
-        stages = result.timer.stages
-        rows.append(
-            {
-                "method": name,
-                "sparsifier_s": round(stages["sparsifier"], 3)
-                if "sparsifier" in stages else None,
-                "svd_s": round(stages.get("svd", 0.0), 3),
-                "propagation_s": round(stages["propagation"], 3)
-                if "propagation" in stages else None,
-                "total_s": round(result.total_seconds, 3),
-            }
-        )
     return rows
 
 

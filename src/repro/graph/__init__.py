@@ -1,9 +1,8 @@
 """Graph substrate: CSR storage, Ligra+-style compression, builders and walks.
 
 This subpackage is the Python reproduction of the paper's GBBS/Ligra+ layer
-(Section 4.1): a compressed sparse-row graph with bulk functional primitives
-(`map_edges`, `map_vertices`), parallel-byte difference-encoded adjacency
-lists, and a vectorized random-walk engine.
+(Section 4.1): a compressed sparse-row graph, parallel-byte
+difference-encoded adjacency lists, and a vectorized random-walk engine.
 """
 
 from repro.graph.csr import CSRGraph

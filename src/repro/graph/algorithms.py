@@ -185,23 +185,3 @@ def kcore_decomposition(graph: GraphLike) -> np.ndarray:
                 degrees[live] -= 1
             peel = np.flatnonzero(alive & (degrees <= k))
     return core
-
-
-def diameter_lower_bound(graph: GraphLike, probes: int = 4, seed: int = 0) -> int:
-    """Double-sweep lower bound on the diameter (cheap, standard trick)."""
-    flat = _flat(graph)
-    n = flat.num_vertices
-    if n == 0:
-        return 0
-    rng = np.random.default_rng(seed)
-    best = 0
-    start = int(rng.integers(n))
-    for _ in range(max(1, probes)):
-        dist = bfs(flat, start)
-        reached = dist >= 0
-        if not reached.any():
-            break
-        far = int(np.argmax(np.where(reached, dist, -1)))
-        best = max(best, int(dist[far]))
-        start = far
-    return best

@@ -73,9 +73,9 @@ class CSRGraph:
         # dtype); lazily populated by repro.linalg, never part of equality.
         self._op_cache: Optional[dict] = None
         # Path of the on-disk CSR v2 container the arrays are memmapped
-        # from, when loaded via repro.graph.io.load_csr(mmap=True).  Lets
-        # process-pool workers reopen the graph from disk instead of
-        # receiving a pickled copy; never part of equality.
+        # from, when loaded via repro.graph.io.load_csr(mmap=True).  Such a
+        # graph pickles as this path (see __reduce_ex__); never part of
+        # equality.
         self.mmap_source: Optional[str] = None
 
     @staticmethod
@@ -219,6 +219,17 @@ class CSRGraph:
             (data, self.targets.astype(np.int64), self.offsets), shape=(n, n)
         )
 
+    def __reduce_ex__(self, protocol):
+        """Pickle a memmapped graph as its container path, others by value.
+
+        The receiver — typically a process-pool worker — reopens the
+        container memmapped and shares the page cache instead of holding a
+        private copy of the arrays.
+        """
+        if self.mmap_source is None:
+            return super().__reduce_ex__(protocol)
+        return _open_memmapped, (self.mmap_source,)
+
     def __repr__(self) -> str:
         kind = "weighted" if self.is_weighted else "unweighted"
         return (
@@ -240,3 +251,10 @@ class CSRGraph:
 
     def __hash__(self) -> int:  # pragma: no cover - identity hashing
         return id(self)
+
+
+def _open_memmapped(path: str) -> CSRGraph:
+    """Unpickling hook for memmapped graphs (see ``CSRGraph.__reduce_ex__``)."""
+    from repro.graph.io import load_csr_v2
+
+    return load_csr_v2(path, mmap=True)

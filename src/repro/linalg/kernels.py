@@ -99,17 +99,12 @@ def _resolve_workers(workers: Optional[int]) -> int:
     return int(workers)
 
 
-def _csr_rows_kernel(
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    data: np.ndarray,
-    dense: np.ndarray,
-    out: np.ndarray,
-    r0: int,
-    r1: int,
-    timed: bool,
-) -> None:
-    """``out[r0:r1] = A[r0:r1] @ dense`` without copying the chunk's entries."""
+def _csr_rows_kernel(operands: tuple, r0: int, r1: int) -> None:
+    """``out[r0:r1] = A[r0:r1] @ dense`` without copying the chunk's entries.
+
+    ``operands`` is ``(indptr, indices, data, dense, out, timed)``.
+    """
+    indptr, indices, data, dense, out, timed = operands
     start = time.perf_counter() if timed else 0.0
     ptr = indptr[r0 : r1 + 1]
     lo, hi = int(ptr[0]), int(ptr[-1])
@@ -139,15 +134,12 @@ def _csr_rows_kernel(
         )
 
 
-def _csc_cols_kernel(
-    matrix: "sp.spmatrix",
-    dense: np.ndarray,
-    out: np.ndarray,
-    c0: int,
-    c1: int,
-    timed: bool,
-) -> None:
-    """``out[:, c0:c1] = A @ dense[:, c0:c1]`` (per-column order preserved)."""
+def _csc_cols_kernel(operands: tuple, c0: int, c1: int) -> None:
+    """``out[:, c0:c1] = A @ dense[:, c0:c1]`` (per-column order preserved).
+
+    ``operands`` is ``(matrix, dense, out, timed)``.
+    """
+    matrix, dense, out, timed = operands
     start = time.perf_counter() if timed else 0.0
     out[:, c0:c1] = matrix @ np.ascontiguousarray(dense[:, c0:c1])
     if timed:
@@ -231,25 +223,25 @@ def spmm(
     if csc:
         # Parallelize over dense columns: each output column is produced by
         # the same compiled per-column loop as the serial csc product.
-        tasks = [
-            (matrix, dense, out, c0, c1, timed)
-            for c0, c1 in chunk_ranges(cols, workers)
-        ]
+        operands = (matrix, dense, out, timed)
+        tasks = chunk_ranges(cols, workers)
         if len(tasks) == 1:
-            _csc_cols_kernel(*tasks[0])
+            _csc_cols_kernel(operands, *tasks[0])
         else:
-            parallel_map(_csc_cols_kernel, tasks, workers=workers)
+            parallel_map(
+                _csc_cols_kernel, tasks, context=operands, workers=workers
+            )
     else:
-        tasks = [
-            (matrix.indptr, matrix.indices, matrix.data, dense, out, r0, r1, timed)
-            for r0, r1 in chunk_ranges(rows, workers)
-        ]
+        operands = (matrix.indptr, matrix.indices, matrix.data, dense, out, timed)
+        tasks = chunk_ranges(rows, workers)
         if not tasks:  # zero-row matrix
             pass
         elif len(tasks) == 1:
-            _csr_rows_kernel(*tasks[0])
+            _csr_rows_kernel(operands, *tasks[0])
         else:
-            parallel_map(_csr_rows_kernel, tasks, workers=workers)
+            parallel_map(
+                _csr_rows_kernel, tasks, context=operands, workers=workers
+            )
 
     if timed:
         elapsed = max(time.perf_counter() - start, 1e-12)

@@ -24,7 +24,7 @@ model tracks) and ``distinct`` entries.
 
 from __future__ import annotations
 
-from multiprocessing import shared_memory
+from contextlib import nullcontext
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -32,7 +32,12 @@ import numpy as np
 from repro import telemetry
 from repro.sparsifier.hashtable import SparseParallelHashTable, hash_partition
 from repro.telemetry.metrics import PROBE_BUCKETS
-from repro.utils.parallel import default_workers, parallel_map, resolve_backend
+from repro.utils.parallel import (
+    SharedArrays,
+    default_workers,
+    parallel_map,
+    resolve_backend,
+)
 
 Triple = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
@@ -93,51 +98,21 @@ def aggregate_hash(
     return table.to_pairs(n)
 
 
-# Per-process context for the shared-memory sharded aggregation: the pool
-# initializer attaches the parent's segment once per worker and exposes the
-# packed key/value arrays as zero-copy views; tasks then read only their
-# shard's contiguous slice.
-_SHARD_SHM_CTX: Dict[str, object] = {}
+def _build_shard(ctx, start: int, stop: int, batch_size: int):
+    """Build one shard table — the sharded-aggregation task on every backend.
 
-
-def _shard_shm_attach(shm_name: str, total: int) -> None:
-    """Pool initializer: map the parent's (keys, values) segment read-only."""
-    shm = shared_memory.SharedMemory(name=shm_name)
-    _SHARD_SHM_CTX["shm"] = shm
-    _SHARD_SHM_CTX["keys"] = np.ndarray(total, dtype=np.int64, buffer=shm.buf)
-    _SHARD_SHM_CTX["values"] = np.ndarray(
-        total, dtype=np.float64, buffer=shm.buf, offset=8 * total
-    )
-
-
-def _shard_shm_detach() -> None:
-    """Drop the context's views and close the mapping (parent-side cleanup;
-    worker processes just exit)."""
-    shm = _SHARD_SHM_CTX.pop("shm", None)
-    _SHARD_SHM_CTX.clear()
-    if shm is not None:
-        try:
-            shm.close()
-        except BufferError:  # pragma: no cover - views still alive elsewhere
-            pass
-
-
-def _build_shard_shm(start: int, stop: int, batch_size: int):
-    """Build one shard table from the shared segment's ``[start, stop)`` slice.
-
-    The slice holds that shard's keys in original stream order (the parent
-    stable-sorts by shard id), and batching mirrors the thread path, so the
-    resulting table — and therefore its ``items()`` order — is bit-identical
-    to the closure the thread backend runs.  Returns the compacted
-    ``(keys, values)`` plus (table_bytes, distinct, probe_rounds) telemetry;
-    shipping the compacted items instead of the table keeps the pickled
-    result proportional to the distinct-edge count, not the sample count.
+    ``ctx["keys"]``/``ctx["values"]`` hold the sample stream grouped by
+    shard with a stable sort (plain arrays on the thread backend, a
+    :class:`~repro.utils.parallel.SharedArrays` segment on the process
+    backend), so ``[start, stop)`` is one shard's keys in stream order and
+    the table — and therefore its ``items()`` order — is the same on every
+    backend and worker count.  Returns the compacted ``(keys, values)`` plus
+    (table_bytes, distinct, probe_rounds) telemetry; shipping the compacted
+    items instead of the table keeps a process worker's pickled result
+    proportional to the distinct-edge count, not the sample count.
     """
-    shard_keys = _SHARD_SHM_CTX["keys"][start:stop]
-    shard_values = _SHARD_SHM_CTX["values"][start:stop]
-    # Mirrors the thread path's instrumentation; with the worker telemetry
-    # shim installed the span/metrics land in this worker's spool and merge
-    # into the parent trace on the worker's pid lane.
+    shard_keys = ctx["keys"][start:stop]
+    shard_values = ctx["values"][start:stop]
     with telemetry.span(
         "aggregate.shard", start=int(start), stop=int(stop),
         size=int(shard_keys.size),
@@ -154,55 +129,6 @@ def _build_shard_shm(start: int, stop: int, batch_size: int):
     return out_keys, out_values, (
         table.size_in_bytes(), len(table), table.total_probe_rounds
     )
-
-
-def _sharded_process_items(
-    keys: np.ndarray,
-    values: np.ndarray,
-    shard_of: np.ndarray,
-    num_shards: int,
-    workers: int,
-    batch_size: int,
-):
-    """Run the shard builds on a process pool via one shared-memory segment.
-
-    Returns per-shard ``(keys, values, stats)`` tuples in shard order.  The
-    parent groups the stream by shard id with a *stable* sort, so each worker
-    sees exactly the sequence the thread path's boolean-mask selection would
-    produce — the determinism contract does not depend on the backend.
-    """
-    order = np.argsort(shard_of, kind="stable")
-    counts = np.bincount(shard_of, minlength=num_shards)
-    bounds = np.zeros(num_shards + 1, dtype=np.int64)
-    np.cumsum(counts, out=bounds[1:])
-    total = int(keys.size)
-    shm = shared_memory.SharedMemory(create=True, size=16 * total)
-    try:
-        np.ndarray(total, dtype=np.int64, buffer=shm.buf)[:] = keys[order]
-        np.ndarray(total, dtype=np.float64, buffer=shm.buf, offset=8 * total)[:] = (
-            values[order]
-        )
-        args = [
-            (int(bounds[shard]), int(bounds[shard + 1]), batch_size)
-            for shard in range(num_shards)
-        ]
-        try:
-            return parallel_map(
-                _build_shard_shm,
-                args,
-                workers=workers,
-                backend="process",
-                initializer=_shard_shm_attach,
-                initargs=(shm.name, total),
-                label="sparsifier.aggregation",
-            )
-        finally:
-            # The serial fallback runs the initializer in this process; the
-            # pooled path leaves the parent context empty and this is a no-op.
-            _shard_shm_detach()
-    finally:
-        shm.close()
-        shm.unlink()
 
 
 def aggregate_hash_sharded(
@@ -234,14 +160,16 @@ def aggregate_hash_sharded(
     ``num_shards`` defaults to the resolved worker count; ``workers=None``
     resolves to :func:`repro.utils.parallel.default_workers`.
 
-    ``backend="process"`` builds the shard tables in worker *processes*: the
-    packed keys/values are published once through a
-    ``multiprocessing.shared_memory`` segment (grouped by shard with a stable
-    sort, so each worker reads one contiguous slice), and the compacted
-    per-shard items come back for the same ``add_batch`` merge.  Because each
-    shard table sees the identical key sequence and batch boundaries as the
-    thread path, the output is bit-identical to ``backend="thread"`` at every
-    worker count (for a fixed ``num_shards``).
+    Both backends group the packed keys/values by shard with a stable sort
+    and run the same task over contiguous slices.  ``backend="process"``
+    builds the shard tables in worker *processes*, publishing the grouped
+    arrays once through a shared-memory segment
+    (:class:`~repro.utils.parallel.SharedArrays`, unlinked before this
+    returns or raises); the compacted per-shard items come back for the
+    same ``add_batch`` merge.  Because each shard table sees the identical
+    key sequence and batch boundaries on both backends, the output is
+    bit-identical to ``backend="thread"`` at every worker count (for a fixed
+    ``num_shards``).
     """
     rows, cols, values = _as_arrays(rows, cols, values)
     backend = resolve_backend(backend)
@@ -255,41 +183,30 @@ def aggregate_hash_sharded(
         return rows, cols, values
     keys = rows * np.int64(n) + cols
     shard_of = hash_partition(keys, num_shards)
+    order = np.argsort(shard_of, kind="stable")
+    bounds = np.zeros(num_shards + 1, dtype=np.int64)
+    np.cumsum(np.bincount(shard_of, minlength=num_shards), out=bounds[1:])
+    args = [
+        (int(bounds[shard]), int(bounds[shard + 1]), batch_size)
+        for shard in range(num_shards)
+    ]
     if backend == "process" and workers > 1:
-        shard_items = _sharded_process_items(
-            keys, values, shard_of, num_shards, workers, batch_size
-        )
+        store = SharedArrays(keys.size, {"keys": np.int64, "values": np.float64})
     else:
-        # Shard spans run on pool threads; parent them to the caller's span.
-        parent_span = telemetry.current_span()
-
-        def build_shard(
-            shard: int, shard_keys: np.ndarray, shard_values: np.ndarray
-        ):
-            with telemetry.span(
-                "aggregate.shard", parent=parent_span,
-                shard=shard, keys=int(shard_keys.size),
-            ):
-                table = SparseParallelHashTable(
-                    capacity_hint=max(64, shard_keys.size // 4)
-                )
-                for start in range(0, shard_keys.size, batch_size):
-                    stop = start + batch_size
-                    table.add_batch(
-                        shard_keys[start:stop], shard_values[start:stop]
-                    )
-            _record_table_metrics(table, "shard")
-            out_keys, out_values = table.items()
-            return out_keys, out_values, (
-                table.size_in_bytes(), len(table), table.total_probe_rounds
-            )
-
-        args = []
-        for shard in range(num_shards):
-            members = shard_of == shard
-            args.append((shard, keys[members], values[members]))
+        store = nullcontext(
+            {"keys": np.empty_like(keys), "values": np.empty_like(values)}
+        )
+    with store as grouped:
+        np.take(keys, order, out=grouped["keys"])
+        np.take(values, order, out=grouped["values"])
+        del order
         shard_items = parallel_map(
-            build_shard, args, workers=workers, label="sparsifier.aggregation"
+            _build_shard,
+            args,
+            context=grouped,
+            workers=workers,
+            backend=backend,
+            label="sparsifier.aggregation",
         )
 
     with telemetry.span("aggregate.merge", shards=num_shards):

@@ -35,83 +35,6 @@ from repro.utils.rng import SeedLike, ensure_rng, spawn_batch_rngs
 GraphLike = Union[CSRGraph, CompressedGraph]
 
 
-# Per-process sampling context, installed once per worker by the pool
-# initializer (see ``sample_sparsifier_edges(backend="process")``): the walk
-# graph plus the derived seed-edge arrays, so each task pickles only its
-# batch of seed indices and its RNG stream.
-_SAMPLE_CTX: Dict[str, object] = {}
-
-
-def _sample_worker_init(graph_spec: tuple, config: "PathSamplingConfig") -> None:
-    """Rebuild the sampling context inside a worker process.
-
-    ``graph_spec`` is ``("mmap", path)`` — reopen the CSR v2 container
-    memmapped, so every worker shares the page cache instead of holding a
-    private copy of the graph — or ``("pickle", graph)`` for in-memory
-    graphs.  The derived arrays (masked endpoints, downsampling
-    probabilities) are recomputed here; they are pure deterministic functions
-    of the graph and config, so they match the parent's bit for bit.
-    """
-    if graph_spec[0] == "mmap":
-        from repro.graph.io import load_csr
-
-        graph = load_csr(graph_spec[1])
-    else:
-        graph = graph_spec[1]
-    flat = graph.decompress() if isinstance(graph, CompressedGraph) else graph
-    src, dst = flat.edge_endpoints()
-    mask = src < dst
-    src, dst = src[mask], dst[mask]
-    edge_w = flat.weights[mask] if flat.weights is not None else None
-    if config.downsample:
-        probs = downsampling_probabilities(
-            src,
-            dst,
-            flat.weighted_degrees(),
-            constant=config.downsample_constant,
-            edge_weights=edge_w,
-        )
-    else:
-        probs = np.ones(src.size)
-    _SAMPLE_CTX.update(
-        graph=graph, src=src, dst=dst, probs=probs, window=config.window
-    )
-
-
-def _walk_chunk_proc(
-    index: int, batch: np.ndarray, chunk_rng: np.random.Generator
-):
-    """Process-pool walk task: same operation sequence as the thread path's
-    ``walk_chunk`` closure (telemetry spans aside — they draw no randomness),
-    so a given ``(batch, chunk_rng)`` yields bit-identical walks.
-
-    The span/metric instrumentation mirrors ``walk_chunk`` and records into
-    the *worker's* tracer/registry (installed by the telemetry shim when
-    tracing is on); the parent merges the spool at pool shutdown, so
-    ``sparsifier.batch`` spans appear on the worker-pid lanes of the unified
-    trace.  With telemetry off these are the usual gated no-ops.
-    """
-    src = _SAMPLE_CTX["src"]
-    dst = _SAMPLE_CTX["dst"]
-    probs = _SAMPLE_CTX["probs"]
-    with telemetry.span(
-        "sparsifier.batch", batch=index, size=int(batch.size)
-    ) as span:
-        lengths = chunk_rng.integers(1, _SAMPLE_CTX["window"] + 1, size=batch.size)
-        flip = chunk_rng.random(batch.size) < 0.5
-        s_u = np.where(flip, dst[batch], src[batch])
-        s_v = np.where(flip, src[batch], dst[batch])
-        u_prime, v_prime = path_sample_pairs(
-            _SAMPLE_CTX["graph"], s_u, s_v, lengths, chunk_rng
-        )
-    elapsed = getattr(span, "duration", None)
-    if elapsed is not None:
-        telemetry.histogram("sparsifier.batch_seconds").observe(elapsed)
-        telemetry.counter("sparsifier.batches").inc()
-        telemetry.counter("sparsifier.walk_samples").inc(batch.size)
-    return u_prime, v_prime, 1.0 / probs[batch]
-
-
 @dataclass(frozen=True)
 class PathSamplingConfig:
     """Parameters of the sparsifier sampling stage.
@@ -203,6 +126,39 @@ def _weighted_sample_counts(
     return base + (rng.random(edge_weights.size) < frac)
 
 
+def _walk_batch(
+    ctx: Dict[str, object], index: int, batch: np.ndarray, rng: np.random.Generator
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Walk one slab of seed edges — the PathSampling task on every backend.
+
+    ``ctx`` is built once by :func:`sample_sparsifier_edges`: the walk
+    ``graph``, the seedable endpoint arrays ``src``/``dst``, the downsampling
+    probabilities ``probs`` and the ``window``.  ``batch`` holds seed-edge
+    indices and ``rng`` is the batch's own stream, so a given
+    ``(batch, rng)`` yields the same walks whichever thread or process runs
+    it.  With telemetry on, the ``sparsifier.batch`` span and its metrics
+    land in this process's tracer/registry (a process worker's spool is
+    merged into the parent's trace when the pool finishes).
+    """
+    src, dst = ctx["src"], ctx["dst"]
+    with telemetry.span(
+        "sparsifier.batch", batch=index, size=int(batch.size)
+    ) as span:
+        lengths = rng.integers(1, ctx["window"] + 1, size=batch.size)
+        # Randomize seed orientation: (u,v) vs (v,u) — the uniform-edge
+        # process is orientation-symmetric.
+        flip = rng.random(batch.size) < 0.5
+        s_u = np.where(flip, dst[batch], src[batch])
+        s_v = np.where(flip, src[batch], dst[batch])
+        u_prime, v_prime = path_sample_pairs(ctx["graph"], s_u, s_v, lengths, rng)
+    elapsed = getattr(span, "duration", None)
+    if elapsed is not None:
+        telemetry.histogram("sparsifier.batch_seconds").observe(elapsed)
+        telemetry.counter("sparsifier.batches").inc()
+        telemetry.counter("sparsifier.walk_samples").inc(batch.size)
+    return u_prime, v_prime, 1.0 / ctx["probs"][batch]
+
+
 def sample_sparsifier_edges(
     graph: GraphLike,
     config: PathSamplingConfig,
@@ -230,13 +186,14 @@ def sample_sparsifier_edges(
     count.  ``workers=None`` resolves to
     :func:`repro.utils.parallel.default_workers`.
 
-    ``backend="process"`` walks the slabs in worker *processes* instead:
-    each worker rebuilds the sampling context once via a pool initializer —
-    reopening the graph's CSR v2 container memmapped when the graph was
-    loaded with ``mmap`` (``graph.mmap_source``), falling back to one
-    pickled copy otherwise — and tasks ship only a batch of seed indices
-    plus the batch's RNG stream.  The per-batch-index streams make the
-    result bit-identical to the thread backend at every worker count.
+    ``backend="process"`` walks the slabs in worker *processes* instead,
+    running the same task (:func:`_walk_batch`) over the same context: the
+    graph and the derived seed-edge arrays are built once here and handed
+    to every worker by :func:`repro.utils.parallel.parallel_map` (a
+    memmapped CSR v2 graph travels as its path and is reopened memmapped),
+    and tasks ship only a batch of seed indices plus the batch's RNG
+    stream.  The per-batch-index streams make the result bit-identical to
+    the thread backend at every worker count.
 
     ``stats``, when given, receives sampling counters: realized draws,
     surviving walk samples, batch count/size and the resolved worker count.
@@ -294,34 +251,6 @@ def sample_sparsifier_edges(
     if config.downsample:
         survive = rng.random(seed_edge.size) < probs[seed_edge]
         seed_edge = seed_edge[survive]
-    walk_graph = graph  # walks run on the (possibly compressed) original
-    # Batch spans run on pool threads, which carry no current-span stack —
-    # capture the parent here (the sparsifier/sampling span when tracing).
-    parent_span = telemetry.current_span()
-
-    def walk_chunk(
-        index: int, batch: np.ndarray, chunk_rng: np.random.Generator
-    ):
-        with telemetry.span(
-            "sparsifier.batch", parent=parent_span,
-            batch=index, size=int(batch.size),
-        ) as span:
-            lengths = chunk_rng.integers(1, config.window + 1, size=batch.size)
-            # Randomize seed orientation: (u,v) vs (v,u) — the uniform-edge
-            # process is orientation-symmetric.
-            flip = chunk_rng.random(batch.size) < 0.5
-            s_u = np.where(flip, dst[batch], src[batch])
-            s_v = np.where(flip, src[batch], dst[batch])
-            u_prime, v_prime = path_sample_pairs(
-                walk_graph, s_u, s_v, lengths, chunk_rng
-            )
-        elapsed = getattr(span, "duration", None)
-        if elapsed is not None:
-            telemetry.histogram("sparsifier.batch_seconds").observe(elapsed)
-            telemetry.counter("sparsifier.batches").inc()
-            telemetry.counter("sparsifier.walk_samples").inc(batch.size)
-        return u_prime, v_prime, 1.0 / probs[batch]
-
     starts = list(range(0, seed_edge.size, batch_size))
     if stats is not None:
         stats["draws"] = total_draws
@@ -342,24 +271,19 @@ def sample_sparsifier_edges(
         (index, seed_edge[start : start + batch_size], batch_rng)
         for index, (start, batch_rng) in enumerate(zip(starts, batch_rngs))
     ]
-    if backend == "process" and workers > 1:
-        mmap_source = getattr(graph, "mmap_source", None)
-        graph_spec = (
-            ("mmap", mmap_source) if mmap_source else ("pickle", graph)
-        )
-        results = parallel_map(
-            _walk_chunk_proc,
-            args,
-            workers=workers,
-            backend="process",
-            initializer=_sample_worker_init,
-            initargs=(graph_spec, config),
-            label="sparsifier.sampling",
-        )
-    else:
-        results = parallel_map(
-            walk_chunk, args, workers=workers, label="sparsifier.sampling"
-        )
+    context = {
+        # Walks run on the (possibly compressed) original graph.
+        "graph": graph, "src": src, "dst": dst, "probs": probs,
+        "window": config.window,
+    }
+    results = parallel_map(
+        _walk_batch,
+        args,
+        context=context,
+        workers=workers,
+        backend=backend,
+        label="sparsifier.sampling",
+    )
     telemetry.counter("sparsifier.draws").inc(total_draws)
     return (
         np.concatenate([r[0] for r in results]),

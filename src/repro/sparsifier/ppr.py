@@ -56,18 +56,12 @@ GraphLike = Union[CSRGraph, CompressedGraph]
 # with the default (walk-oriented) 2M batch_size.
 _MAX_SOURCE_BATCH = 16_384
 
-# Per-process PPR context, installed once per worker by the pool initializer
-# (mirrors ``_SAMPLE_CTX`` in path_sampling): the walk operator plus scalar
-# config, so each task pickles only its source ids and its RNG stream.
-_PPR_CTX: Dict[str, object] = {}
-
 
 def walk_operator(graph: GraphLike) -> Tuple[sp.csr_matrix, np.ndarray, float]:
     """``(P, degrees, vol)`` — the row-stochastic transition matrix ``D⁻¹A``.
 
     Rows of isolated vertices are zero (their walk mass dies, matching the
-    PathSampling process which can never seed there).  Pure deterministic
-    function of the graph, so parent and pool workers agree bit for bit.
+    PathSampling process which can never seed there).
     """
     flat = graph.decompress() if isinstance(graph, CompressedGraph) else graph
     degrees = flat.weighted_degrees().astype(np.float64)
@@ -99,9 +93,9 @@ def ppr_batch_counts(
     num_samples: int,
     resolution: float,
     rng: np.random.Generator,
-    stats: Optional[Dict[str, float]] = None,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Expected-count triples ``(rows, cols, weights)`` for one source slab.
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Expected-count triples ``(rows, cols, weights)`` for one source slab,
+    plus the slab's push count (frontier entries produced before pruning).
 
     Runs ``window`` frontier pushes from the given sources, prunes entries
     whose expected count ``M_x·S̃(x,y)`` would land below ``resolution``, and
@@ -128,8 +122,6 @@ def ppr_batch_counts(
         accumulator = frontier if accumulator is None else accumulator + frontier
         if frontier.nnz == 0:
             break
-    if stats is not None:
-        stats["pushes"] = stats.get("pushes", 0.0) + pushes
     # t(x, y) = M_x · S̃(x, y) with S̃ = accumulated frontier mass / T.
     expected = (sp.diags(budgets / window) @ accumulator.tocsr()).tocoo()
     values = expected.data
@@ -139,56 +131,37 @@ def ppr_batch_counts(
     rows = sources[expected.row[keep]].astype(np.int64)
     cols = expected.col[keep].astype(np.int64)
     weights = np.maximum(values[keep], 1.0)
-    return rows, cols, weights
+    return rows, cols, weights, pushes
 
 
-def _ppr_worker_init(
-    graph_spec: tuple, window: int, num_samples: int, resolution: float
-) -> None:
-    """Rebuild the PPR context inside a pool worker process.
+def _push_batch(
+    ctx: Dict[str, object],
+    index: int,
+    sources: np.ndarray,
+    rng: np.random.Generator,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Push one source slab — the PPR task on every backend.
 
-    ``graph_spec`` follows the sampling convention: ``("mmap", path)``
-    reopens the CSR v2 container memmapped, ``("pickle", graph)`` receives
-    one pickled copy.  The walk operator is recomputed here — it is a pure
-    function of the graph, so it matches the parent bit for bit.
-    """
-    if graph_spec[0] == "mmap":
-        from repro.graph.io import load_csr
-
-        graph = load_csr(graph_spec[1])
-    else:
-        graph = graph_spec[1]
-    operator, degrees, volume = walk_operator(graph)
-    _PPR_CTX.update(
-        operator=operator, degrees=degrees, volume=volume,
-        window=window, num_samples=num_samples, resolution=resolution,
-    )
-
-
-def _ppr_chunk_proc(
-    index: int, sources: np.ndarray, chunk_rng: np.random.Generator
-):
-    """Process-pool PPR task — the module-level twin of the thread closure.
-
-    Instrumentation mirrors the thread path and records into the worker's
-    spooled tracer/registry (merged by the parent at pool shutdown), so
-    ``sparsifier.ppr.batch`` spans land on the worker-pid trace lanes.
+    ``ctx`` is built once by :func:`sample_ppr_counts`: the walk operator,
+    degrees and volume plus the ``window``, sample budget and
+    ``resolution``.  Returns :func:`ppr_batch_counts`' triple and push
+    count; with telemetry on, the ``sparsifier.ppr.batch`` span and its
+    metrics land in this process's tracer/registry.
     """
     with telemetry.span(
         "sparsifier.ppr.batch", batch=index, size=int(sources.size)
     ) as span:
-        triple = ppr_batch_counts(
-            _PPR_CTX["operator"], _PPR_CTX["degrees"], _PPR_CTX["volume"],
-            sources, window=_PPR_CTX["window"],
-            num_samples=_PPR_CTX["num_samples"],
-            resolution=_PPR_CTX["resolution"], rng=chunk_rng,
+        result = ppr_batch_counts(
+            ctx["operator"], ctx["degrees"], ctx["volume"], sources,
+            window=ctx["window"], num_samples=ctx["num_samples"],
+            resolution=ctx["resolution"], rng=rng,
         )
     elapsed = getattr(span, "duration", None)
     if elapsed is not None:
         telemetry.histogram("sparsifier.ppr.batch_seconds").observe(elapsed)
         telemetry.counter("sparsifier.ppr.batches").inc()
-        telemetry.counter("sparsifier.ppr.entries").inc(triple[0].size)
-    return triple
+        telemetry.counter("sparsifier.ppr.entries").inc(result[0].size)
+    return result
 
 
 def sample_ppr_counts(
@@ -216,8 +189,10 @@ def sample_ppr_counts(
     budget already scales nnz).  Sources are processed in fixed slabs of
     ``min(batch_size, 16384)`` rows with per-batch RNG streams, so the output
     is bit-identical for every ``workers`` value on both the ``"thread"``
-    and ``"process"`` substrates (the latter rebuilds the walk operator per
-    worker via a pool initializer, memmapping CSR v2 graphs when available).
+    and ``"process"`` substrates: both run :func:`_push_batch` over one
+    context (the walk operator and scalar settings) built here and handed
+    to the workers by :func:`repro.utils.parallel.parallel_map`.
+    ``stats["pushes"]`` sums the slabs' push counts in batch order.
 
     ``resolution`` is the residual threshold in units of expected samples:
     entries whose expected count would fall below it are pruned during the
@@ -255,49 +230,24 @@ def sample_ppr_counts(
         (index, all_sources[start : start + source_batch], batch_rng)
         for index, (start, batch_rng) in enumerate(zip(starts, batch_rngs))
     ]
-    # Batch spans run on pool threads with no current-span stack — capture
-    # the parent here (the sparsifier stage span when tracing is on).
-    parent_span = telemetry.current_span()
-
-    def push_chunk(
-        index: int, sources: np.ndarray, chunk_rng: np.random.Generator
-    ):
-        with telemetry.span(
-            "sparsifier.ppr.batch", parent=parent_span,
-            batch=index, size=int(sources.size),
-        ) as span:
-            triple = ppr_batch_counts(
-                operator, degrees, volume, sources,
-                window=config.window, num_samples=config.num_samples,
-                resolution=resolution, rng=chunk_rng, stats=stats,
-            )
-        elapsed = getattr(span, "duration", None)
-        if elapsed is not None:
-            telemetry.histogram("sparsifier.ppr.batch_seconds").observe(elapsed)
-            telemetry.counter("sparsifier.ppr.batches").inc()
-            telemetry.counter("sparsifier.ppr.entries").inc(triple[0].size)
-        return triple
-
-    if backend == "process" and workers > 1:
-        mmap_source = getattr(graph, "mmap_source", None)
-        graph_spec = ("mmap", mmap_source) if mmap_source else ("pickle", graph)
-        results = parallel_map(
-            _ppr_chunk_proc,
-            args,
-            workers=workers,
-            backend="process",
-            initializer=_ppr_worker_init,
-            initargs=(graph_spec, config.window, config.num_samples, resolution),
-            label="sparsifier.ppr",
-        )
-    else:
-        results = parallel_map(
-            push_chunk, args, workers=workers, label="sparsifier.ppr"
-        )
+    context = {
+        "operator": operator, "degrees": degrees, "volume": volume,
+        "window": config.window, "num_samples": config.num_samples,
+        "resolution": resolution,
+    }
+    results = parallel_map(
+        _push_batch,
+        args,
+        context=context,
+        workers=workers,
+        backend=backend,
+        label="sparsifier.ppr",
+    )
     rows = np.concatenate([r[0] for r in results])
     cols = np.concatenate([r[1] for r in results])
     weights = np.concatenate([r[2] for r in results])
     if stats is not None:
         stats["walk_samples"] = int(rows.size)
+        stats["pushes"] = sum(r[3] for r in results)
     telemetry.counter("sparsifier.draws").inc(int(config.num_samples))
     return rows, cols, weights, int(config.num_samples)

@@ -19,10 +19,10 @@ context manager when no tracer is installed — no allocation, no timestamps,
 no locks.  Enable with :func:`enable` (or the CLI's ``--trace-out``).
 
 Parenting is thread-aware: each thread keeps its own current-span stack, so
-concurrent stages nest correctly.  Work dispatched to a pool inherits no
-stack — callers capture :func:`current_span` before dispatch and pass it as
-``parent=`` (see :func:`repro.sparsifier.path_sampling.sample_sparsifier_edges`
-for the idiom).
+concurrent stages nest correctly.  Pool threads start with an empty stack;
+:func:`repro.utils.parallel.parallel_map` runs each thread task through
+:func:`bind_current_span`, so spans a task opens nest under the span that
+dispatched it without the task knowing about the pool.
 """
 
 from __future__ import annotations
@@ -494,3 +494,26 @@ def current_span() -> Optional[Span]:
     if tracer is None:
         return None
     return tracer.current_span()
+
+
+def bind_current_span(func: Callable[..., object]) -> Callable[..., object]:
+    """``func`` made to run under the calling thread's current span.
+
+    The returned callable may run on any thread: it pushes the captured span
+    onto that thread's stack for the duration of the call, so spans it opens
+    become children of the span open here.  Returns ``func`` itself when
+    tracing is off or no span is open (the zero-cost path).
+    """
+    tracer = _tracer
+    parent = tracer.current_span() if tracer is not None else None
+    if parent is None:
+        return func
+
+    def bound(*args: object) -> object:
+        tracer._push(parent)
+        try:
+            return func(*args)
+        finally:
+            tracer._pop(parent)
+
+    return bound

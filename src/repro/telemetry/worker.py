@@ -6,7 +6,7 @@ This module closes that gap with a file-based spool protocol:
 
 **Worker side** — :func:`init_worker` (installed by
 :func:`repro.utils.parallel.parallel_map` as the pool initializer, chained
-in front of the caller's own) builds a :class:`WorkerShim`: a fresh tracer
+in front of the one that installs the caller's context) builds a :class:`WorkerShim`: a fresh tracer
 plus a reset metrics registry (fork children inherit the parent's — reusing
 them would double-count), a JSONL spool file the tracer streams every
 finished span into, and a daemon heartbeat thread.  After each task the

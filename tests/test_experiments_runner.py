@@ -7,13 +7,7 @@ import pytest
 
 from repro.datasets import LabeledGraph
 from repro.errors import EvaluationError, UnknownMethodError
-from repro.experiments import (
-    format_table,
-    run_link_prediction_comparison,
-    run_method_comparison,
-    run_multiplier_sweep,
-    run_stage_breakdown,
-)
+from repro.experiments import format_table, run_method_comparison
 from repro.experiments.runner import dispatch_method
 from repro.graph.generators import dcsbm_graph
 
@@ -77,31 +71,6 @@ class TestRunners:
         )
         assert rows[0]["method"] == "prone+"
 
-    def test_link_prediction_rows(self, unlabeled):
-        rows = run_link_prediction_comparison(
-            unlabeled, ["lightne"], dimension=8, window=2,
-            test_fraction=0.05, num_negatives=20, seed=0,
-        )
-        row = rows[0]
-        assert {"MR", "MRR", "HITS@10"} <= set(row)
-        assert 1.0 <= row["MR"] <= 21.0
-
-    def test_multiplier_sweep(self, bundle):
-        rows = run_multiplier_sweep(
-            bundle, (0.5, 4.0), ratio=0.3, dimension=8, window=2,
-            repeats=1, seed=0,
-        )
-        assert rows[0]["M"] == "0.5Tm"
-        assert rows[1]["nnz"] > rows[0]["nnz"]
-
-    def test_stage_breakdown(self, bundle):
-        rows = run_stage_breakdown(
-            bundle,
-            [("Light", "lightne", 1.0), ("ProNE+", "prone+", None)],
-            dimension=8, window=2, seed=0,
-        )
-        assert rows[0]["sparsifier_s"] is not None
-        assert rows[1]["sparsifier_s"] is None
 
 
 class TestFormatTable:

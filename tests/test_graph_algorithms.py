@@ -9,7 +9,6 @@ from repro.errors import GraphConstructionError
 from repro.graph.algorithms import (
     bfs,
     connected_components,
-    diameter_lower_bound,
     kcore_decomposition,
     pagerank,
     triangle_count,
@@ -169,20 +168,3 @@ class TestKCore:
         core = kcore_decomposition(er_graph)
         assert np.all(core <= er_graph.degrees())
 
-
-class TestDiameterBound:
-    def test_path_exact(self):
-        n = 12
-        g = from_edges(np.arange(n - 1), np.arange(1, n))
-        assert diameter_lower_bound(g, probes=4, seed=0) == n - 1
-
-    def test_triangle(self, triangle):
-        assert diameter_lower_bound(triangle) == 1
-
-    def test_bound_is_lower_bound(self, er_graph):
-        from scipy.sparse.csgraph import shortest_path
-
-        d = shortest_path(er_graph.adjacency(), unweighted=True)
-        finite = d[np.isfinite(d)]
-        true_diameter = int(finite.max())
-        assert diameter_lower_bound(er_graph, probes=4, seed=1) <= true_diameter

@@ -17,7 +17,6 @@ SUBPACKAGES = [
     "repro.graph.builders",
     "repro.graph.generators",
     "repro.graph.io",
-    "repro.graph.primitives",
     "repro.graph.walks",
     "repro.graph.algorithms",
     "repro.graph.transforms",

@@ -16,31 +16,25 @@ from repro.utils.parallel import (
 )
 
 
-# Module-level so the process backend can pickle them.
-def _double(x):
+# Module-level so the process backend can pickle them; every task takes the
+# parallel_map context first.
+def _double(_context, x):
     return x * 2
 
 
-def _add(a, b):
+def _add(_context, a, b):
     return a + b
 
 
-def _boom(x):
+def _boom(_context, x):
     if x == 2:
         raise RuntimeError("worker failure")
     time.sleep(0.01)
     return x
 
 
-_INIT_STATE = {}
-
-
-def _remember(tag):
-    _INIT_STATE["tag"] = tag
-
-
-def _read_tag(_):
-    return _INIT_STATE.get("tag")
+def _scaled(context, x):
+    return context["scale"] * x
 from repro.utils.rng import derive_seed, ensure_rng, spawn_batch_rngs, spawn_rngs
 from repro.utils.timer import StageTimer, Timer
 from repro.utils.validation import (
@@ -382,20 +376,20 @@ class TestChunkRanges:
 
 class TestParallelMap:
     def test_serial(self):
-        assert parallel_map(lambda x: x * 2, [(1,), (2,), (3,)]) == [2, 4, 6]
+        assert parallel_map(_double, [(1,), (2,), (3,)]) == [2, 4, 6]
 
     def test_threaded_order_preserved(self):
-        def work(x):
+        def work(_context, x):
             time.sleep(0.001 * (5 - x))
             return x
 
         assert parallel_map(work, [(i,) for i in range(5)], workers=4) == list(range(5))
 
     def test_multiple_args(self):
-        assert parallel_map(lambda a, b: a + b, [(1, 2), (3, 4)]) == [3, 7]
+        assert parallel_map(_add, [(1, 2), (3, 4)]) == [3, 7]
 
     def test_empty(self):
-        assert parallel_map(lambda x: x, []) == []
+        assert parallel_map(_double, []) == []
 
     def test_process_backend(self):
         got = parallel_map(_double, [(i,) for i in range(6)],
@@ -418,17 +412,21 @@ class TestParallelMap:
             parallel_map(_boom, [(i,) for i in range(8)],
                          workers=4, backend=backend)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_initializer_runs(self, backend):
-        got = parallel_map(_read_tag, [(0,), (1,)], workers=2, backend=backend,
-                           initializer=_remember, initargs=("hello",))
-        assert got == ["hello", "hello"]
+    @pytest.mark.parametrize(
+        "workers, backend", [(1, "thread"), (2, "thread"), (2, "process")]
+    )
+    def test_context_reaches_every_task(self, workers, backend):
+        got = parallel_map(_scaled, [(i,) for i in range(5)],
+                           context={"scale": 3}, workers=workers,
+                           backend=backend)
+        assert got == [0, 3, 6, 9, 12]
 
-    def test_initializer_runs_on_serial_path(self):
-        _INIT_STATE.clear()
-        got = parallel_map(_read_tag, [(0,)], workers=4, backend="thread",
-                           initializer=_remember, initargs=("inline",))
-        assert got == ["inline"]
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_in_process_context_is_not_copied(self, workers):
+        context = {"scale": 1}
+        got = parallel_map(lambda ctx, _: ctx, [(0,), (1,)],
+                           context=context, workers=workers)
+        assert all(ctx is context for ctx in got)
 
 
 class TestResolveBackend:

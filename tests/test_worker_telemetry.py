@@ -396,13 +396,13 @@ class TestStallMonitor:
 # ---------------------------------------------------------------------------
 
 
-def _square_with_span(x):
+def _square_with_span(_context, x):
     with telemetry.span("task.square", x=x):
         telemetry.counter("task.calls").inc()
         return x * x
 
 
-def _sleepy(seconds):
+def _sleepy(_context, seconds):
     time.sleep(seconds)
     return seconds
 
