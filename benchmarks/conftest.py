@@ -45,13 +45,18 @@ def pytest_configure(config):
         from repro import telemetry
 
         telemetry.enable()
-    # Benchmark sessions always feed the run ledger: every run_pipeline
-    # call (harness.embed and the experiments-runner paths alike) appends
-    # a RunRecord, building the perf trajectory the regression gate reads.
+
+
+@pytest.fixture(autouse=True, scope="session")
+def _record_runs():
+    """Benchmark sessions always feed the run ledger: every run_pipeline
+    call (harness.embed and the experiments-runner paths alike) appends a
+    RunRecord, building the perf trajectory the regression gate reads."""
     from benchmarks.harness import RUNS_PATH
     from repro.telemetry import ledger
 
-    ledger.enable(path=RUNS_PATH)
+    with ledger.enabled_scope(path=RUNS_PATH):
+        yield
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -25,11 +25,8 @@ from repro.telemetry import ledger
 SEED = 2021  # the year of the paper; fixed everywhere for comparability
 
 # Benchmark runs are *always* recorded to the run ledger (the bench
-# trajectory is the whole point of the benchmarks); REPRO_LEDGER_PATH
-# still wins so CI can point runs at a scratch ledger.
-RUNS_PATH = os.environ.get(ledger.ENV_PATH) or os.path.join(
-    os.path.dirname(__file__), "results", "runs.jsonl"
-)
+# trajectory is the whole point of the benchmarks).
+RUNS_PATH = os.path.join(os.path.dirname(__file__), "results", "runs.jsonl")
 
 
 def embed(method: str, graph, *, dimension=32, window=5, multiplier=1.0, seed=SEED,

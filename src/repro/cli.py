@@ -17,29 +17,25 @@ Subcommands
     without materializing the arrays in RAM.
 ``audit``
     Diff the per-stage content digests of two ledger runs and localize
-    the first diverging stage (:mod:`repro.telemetry.audit`); pair with
-    ``--health record`` on the runs being compared.
+    the first diverging stage (:mod:`repro.telemetry.audit`); record the
+    runs being compared with ``--observe``.
 
-Observability flags (every subcommand, see ``docs/observability.md``):
-``--verbose`` turns on the library's DEBUG log lines
-(:func:`repro.utils.log.configure_logging`; ``REPRO_LOG`` also works),
-``--trace-out t.json`` writes a Chrome/Perfetto trace of the run,
-``--metrics-out m.json`` writes the metrics-registry snapshot,
-``--profile-memory`` samples RSS in the background and reports the peak,
-``--progress`` renders a single-line live progress indicator on stderr
-(stage completion counts, plus worker liveness on ``--backend process``), and
-``--ledger`` / ``--ledger-out runs.jsonl`` append one
-:class:`~repro.telemetry.ledger.RunRecord` per pipeline run to the run
-ledger (``REPRO_LEDGER=1`` enables the same without a flag), and
-``--health {off,record,warn,raise}`` sets the numerical-health policy
-(stage digests + contract probes; ``REPRO_HEALTH`` works too).
+Observability (every subcommand but ``audit``, see
+``docs/observability.md``): ``--observe DIR`` records the command into a
+run bundle (:func:`repro.telemetry.observe`) — ``DIR/trace.json`` (spans),
+``DIR/metrics.json`` (metrics and peak RSS), ``DIR/runs.jsonl`` (one ledger
+record with stage digests per pipeline run, appended) and ``DIR/log.txt``
+(DEBUG log).  Library warnings always reach stderr, and a live progress
+line renders there whenever stderr is a terminal.
 """
 
 from __future__ import annotations
 
 import argparse
+import logging
 import sys
 import time
+from contextlib import nullcontext
 from typing import Optional, Sequence
 
 import numpy as np
@@ -233,20 +229,6 @@ def _cmd_convert(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_audit(args: argparse.Namespace) -> int:
-    """Stage-digest diff of two ledger runs (repro.telemetry.audit)."""
-    from repro.telemetry.audit import run_audit
-
-    return run_audit(
-        args.ledger_path,
-        args.runs,
-        method=args.audit_method,
-        dataset=args.audit_dataset,
-        strict=args.strict,
-        table_out=args.table_out,
-    )
-
-
 def _cmd_compare(args: argparse.Namespace) -> int:
     """Method comparison table via the experiments runner."""
     from repro.experiments import format_table, run_method_comparison
@@ -274,81 +256,41 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--input",
-            help="graph file (edge list / METIS / .adj / .npz / .csrv2 dir)",
-        )
-        p.add_argument(
-            "--format", choices=sorted(_READERS),
-            help="input format (default: by file extension)",
-        )
-        p.add_argument(
-            "--dataset", choices=dataset_names(), help="registered synthetic dataset"
-        )
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument(
-            "--workers", type=int, default=None,
-            help="thread-pool width for sparsifier construction and the "
-                 "dense linear-algebra kernels (default: one per core, "
-                 "capped at 8); output is bit-identical for every value",
-        )
-        p.add_argument(
-            "--backend", choices=("thread", "process"), default=None,
-            help="execution substrate for the parallel stages: 'thread' "
-                 "(default, in-memory) or 'process' (out-of-core: process "
-                 "pools for sampling/aggregation, temp-file memmaps for the "
-                 "propagation buffers); output is bit-identical either way "
-                 "(see docs/performance.md)",
-        )
-        p.add_argument(
-            "--progress", action="store_true",
-            help="render a single-line live progress indicator on stderr "
-                 "(parallel-stage completion counts; with --backend process "
-                 "also live worker/stall counts from heartbeats)",
-        )
-        p.add_argument(
-            "--verbose", "-v", action="store_true",
-            help="emit the library's DEBUG log lines (stage boundaries, "
-                 "sample counts); REPRO_LOG=<level> sets a custom level",
-        )
-        p.add_argument(
-            "--trace-out", metavar="PATH",
-            help="enable span tracing and write a Chrome trace-event JSON "
-                 "(open in Perfetto or chrome://tracing)",
-        )
-        p.add_argument(
-            "--metrics-out", metavar="PATH",
-            help="enable telemetry and write the metrics-registry snapshot "
-                 "(counters/gauges/histograms) as JSON",
-        )
-        p.add_argument(
-            "--profile-memory", action="store_true",
-            help="sample RSS on a background thread and report the peak "
-                 "(adds memory gauges to --metrics-out)",
-        )
-        p.add_argument(
-            "--ledger", action="store_true",
-            help="append a RunRecord for each pipeline run to the run "
-                 "ledger (benchmarks/results/runs.jsonl unless "
-                 "--ledger-out or REPRO_LEDGER_PATH says otherwise); "
-                 "REPRO_LEDGER=1 does the same without the flag",
-        )
-        p.add_argument(
-            "--ledger-out", metavar="PATH",
-            help="run-ledger JSONL path (implies --ledger)",
-        )
-        p.add_argument(
-            "--health", choices=("off", "record", "warn", "raise"),
-            default=None,
-            help="numerical-health policy: 'record' fingerprints every "
-                 "stage output and runs the contract probes (sparsifier "
-                 "mass, factorization residual, finiteness) into the "
-                 "ledger's health/digests blocks, 'warn' additionally logs "
-                 "failed probes, 'raise' turns them into a "
-                 "NumericalHealthError; default 'off' (REPRO_HEALTH also "
-                 "works)",
-        )
+    # Shared by every subcommand but audit.
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument(
+        "--input",
+        help="graph file (edge list / METIS / .adj / .npz / .csrv2 dir)",
+    )
+    common.add_argument(
+        "--format", choices=sorted(_READERS),
+        help="input format (default: by file extension)",
+    )
+    common.add_argument(
+        "--dataset", choices=dataset_names(), help="registered synthetic dataset"
+    )
+    common.add_argument("--seed", type=int, default=0)
+    common.add_argument(
+        "--workers", type=int, default=None,
+        help="thread-pool width for sparsifier construction and the "
+             "dense linear-algebra kernels (default: one per core, "
+             "capped at 8); output is bit-identical for every value",
+    )
+    common.add_argument(
+        "--backend", choices=("thread", "process"), default=None,
+        help="execution substrate for the parallel stages: 'thread' "
+             "(default, in-memory) or 'process' (out-of-core: process "
+             "pools for sampling/aggregation, temp-file memmaps for the "
+             "propagation buffers); output is bit-identical either way "
+             "(see docs/performance.md)",
+    )
+    common.add_argument(
+        "--observe", metavar="DIR",
+        help="record the command into the run bundle DIR: trace.json "
+             "(spans), metrics.json (metrics, peak RSS), runs.jsonl (one "
+             "ledger record with stage digests per run, appended) and "
+             "log.txt (DEBUG log); see docs/observability.md",
+    )
 
     def add_method_arguments(p: argparse.ArgumentParser, dim_default: int) -> None:
         """``--method`` choices and knob flags derived from the registry.
@@ -431,36 +373,40 @@ def build_parser() -> argparse.ArgumentParser:
                  "pool tasks — changes which RNG stream draws each sample, "
                  "so keep it fixed when comparing runs)",
         )
-        # --workers is already on add_common (shared with info/stream).
+        # --workers is already on the common parent (shared with info/stream).
 
-    p_embed = sub.add_parser("embed", help="compute an embedding")
-    add_common(p_embed)
+    p_embed = sub.add_parser(
+        "embed", parents=[common], help="compute an embedding"
+    )
     add_method_arguments(p_embed, dim_default=128)
     p_embed.add_argument("--output", default="embedding.npy")
     p_embed.set_defaults(func=_cmd_embed)
 
-    p_info = sub.add_parser("info", help="print graph statistics")
-    add_common(p_info)
+    p_info = sub.add_parser(
+        "info", parents=[common], help="print graph statistics"
+    )
     p_info.set_defaults(func=_cmd_info)
 
-    p_nc = sub.add_parser("eval-nc", help="node-classification evaluation")
-    add_common(p_nc)
+    p_nc = sub.add_parser(
+        "eval-nc", parents=[common], help="node-classification evaluation"
+    )
     p_nc.add_argument("--embeddings", required=True, help=".npy vectors")
     p_nc.add_argument("--train-ratio", type=float, default=0.1)
     p_nc.add_argument("--repeats", type=int, default=3)
     p_nc.set_defaults(func=_cmd_eval_nc)
 
-    p_lp = sub.add_parser("eval-lp", help="link-prediction evaluation")
-    add_common(p_lp)
+    p_lp = sub.add_parser(
+        "eval-lp", parents=[common], help="link-prediction evaluation"
+    )
     add_method_arguments(p_lp, dim_default=64)
     p_lp.add_argument("--test-fraction", type=float, default=0.05)
     p_lp.add_argument("--negatives", type=int, default=100)
     p_lp.set_defaults(func=_cmd_eval_lp)
 
     p_stream = sub.add_parser(
-        "stream", help="dynamic embedding demo over a replayed edge stream"
+        "stream", parents=[common],
+        help="dynamic embedding demo over a replayed edge stream",
     )
-    add_common(p_stream)
     p_stream.add_argument(
         "--method", choices=method_names(), default="lightne",
         help="embedding method re-run at every refresh (full params "
@@ -484,11 +430,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_stream.set_defaults(func=_cmd_stream)
 
     p_conv = sub.add_parser(
-        "convert",
+        "convert", parents=[common],
         help="convert a graph to the memmappable CSR v2 container "
              "(required for out-of-core --backend process loads)",
     )
-    add_common(p_conv)
     p_conv.add_argument(
         "--output", default="graph" + graph_io.CSR_V2_SUFFIX,
         help="output directory (conventionally *.csrv2)",
@@ -496,9 +441,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_conv.set_defaults(func=_cmd_convert)
 
     p_cmp = sub.add_parser(
-        "compare", help="side-by-side method comparison on a labeled dataset"
+        "compare", parents=[common],
+        help="side-by-side method comparison on a labeled dataset",
     )
-    add_common(p_cmp)
     p_cmp.add_argument(
         "--methods", default="prone+,lightne",
         help="comma-separated subset of: " + ",".join(method_names()),
@@ -510,112 +455,55 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--repeats", type=int, default=2)
     p_cmp.set_defaults(func=_cmd_compare)
 
-    from repro.telemetry.audit import add_audit_arguments
+    from repro.telemetry.audit import add_audit_arguments, audit_from_args
 
     p_audit = sub.add_parser(
         "audit",
         help="diff two ledger runs' stage digests; localize the first "
-             "diverging stage (record runs with --health record first)",
+             "diverging stage (record the runs with --observe first)",
     )
-    # Distinct dests: --ledger/--method mean other things on the embed-side
-    # subcommands and _run_with_telemetry inspects args.ledger.
-    add_audit_arguments(
-        p_audit, ledger_dest="ledger_path", method_dest="audit_method",
-        dataset_dest="audit_dataset",
-    )
-    p_audit.set_defaults(func=_cmd_audit)
+    add_audit_arguments(p_audit)
+    p_audit.set_defaults(func=audit_from_args)
 
     return parser
 
 
 def _run_with_telemetry(args: argparse.Namespace) -> int:
-    """Run ``args.func`` under the requested observability instrumentation."""
-    import os
+    """Run ``args.func``, inside the ``--observe`` run bundle when given."""
+    from repro.telemetry import observe
 
-    from repro import telemetry
-    from repro.telemetry import ledger as ledger_mod
-    from repro.telemetry import progress as progress_mod
-    from repro.utils.log import configure_logging
-
-    if getattr(args, "verbose", False):
-        configure_logging("DEBUG")
-    elif os.environ.get("REPRO_LOG"):
-        configure_logging()
-
-    ledger_out = getattr(args, "ledger_out", None)
-    wants_ledger = bool(getattr(args, "ledger", False) or ledger_out)
-    if wants_ledger:
-        ledger_mod.enable(path=ledger_out)
-
-    # --health sets the numerical-health policy for the whole command
-    # (the audit subcommand has no such flag — getattr keeps it optional).
-    health_policy = getattr(args, "health", None)
-    if health_policy:
-        from repro.telemetry import health as health_mod
-
-        health_mod.set_policy(health_policy)
-
-    # --progress is independent of span tracing: it only needs the stage
-    # labels parallel_map already carries (plus worker heartbeats on the
-    # process backend), so it works with telemetry fully disabled.
-    wants_progress = bool(getattr(args, "progress", False))
-    if wants_progress:
-        progress_mod.enable()
-
-    trace_out = getattr(args, "trace_out", None)
-    metrics_out = getattr(args, "metrics_out", None)
-    profile_mem = getattr(args, "profile_memory", False)
-    wants_telemetry = bool(trace_out or metrics_out or profile_mem)
-    if not wants_telemetry:
-        try:
-            return args.func(args)
-        finally:
-            if wants_progress:
-                progress_mod.disable()
-            if health_policy:
-                health_mod.clear_policy()
-            if wants_ledger:
-                print(f"run ledger -> {ledger_mod.active_path()}")
-                ledger_mod.disable()
-
-    tracer = telemetry.enable()
-    telemetry.reset_metrics()
-    try:
-        with telemetry.span("cli", command=args.command) as root:
-            if profile_mem:
-                with telemetry.profile_memory(span=root) as sampler:
-                    code = args.func(args)
-                profile = sampler.profile
-                if profile is not None and profile.rss_peak_bytes is not None:
-                    print(
-                        f"peak RSS {profile.rss_peak_bytes / (1 << 20):,.1f} MiB "
-                        f"({profile.num_samples} samples)"
-                    )
-            else:
-                code = args.func(args)
-    finally:
-        if wants_progress:
-            progress_mod.disable()
-        if health_policy:
-            health_mod.clear_policy()
-        if trace_out:
-            tracer.write_chrome_trace(trace_out)
-            print(f"trace ({tracer.span_count} spans) -> {trace_out}")
-        if metrics_out:
-            telemetry.get_metrics().write_json(metrics_out)
-            print(f"metrics -> {metrics_out}")
-        if wants_ledger:
-            print(f"run ledger -> {ledger_mod.active_path()}")
-            ledger_mod.disable()
-        telemetry.disable()
+    directory = getattr(args, "observe", None)
+    with (
+        observe(directory, "cli", command=args.command)
+        if directory
+        else nullcontext()
+    ) as bundle:
+        code = args.func(args)
+    if bundle is not None:
+        print(bundle.summary())
     return code
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """CLI entry point."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return _run_with_telemetry(args)
+    """CLI entry point.
+
+    For the command's duration, library warnings go to stderr and, when
+    stderr is a terminal, so does the live progress line; both are torn
+    down on return, leaving an imported library silent.
+    """
+    from repro.telemetry import progress
+    from repro.utils.log import log_to
+
+    args = build_parser().parse_args(argv)
+    live = sys.stderr.isatty()
+    if live:
+        progress.enable()
+    try:
+        with log_to(logging.StreamHandler(sys.stderr), logging.WARNING):
+            return _run_with_telemetry(args)
+    finally:
+        if live:
+            progress.disable()
 
 
 if __name__ == "__main__":

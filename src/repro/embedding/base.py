@@ -238,7 +238,7 @@ def run_pipeline(
     result = EmbeddingResult(
         vectors=vectors, method=spec.name, timer=timer, info=info
     )
-    # Opt-in run ledger (REPRO_LEDGER=1, CLI --ledger, or the benchmark
-    # harness's enabled_scope): one persisted RunRecord per pipeline run.
+    # Opt-in run ledger (ledger.enabled_scope: CLI --observe or the benchmark
+    # harness): one persisted RunRecord per pipeline run.
     ledger.maybe_record(result, seed=seed, context="run_pipeline")
     return result

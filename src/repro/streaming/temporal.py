@@ -106,9 +106,9 @@ def replay_temporal_link_prediction(
 
     Returns one row per epoch (``epoch``, ``edges``, ``MRR``, ``HITS@10``,
     ``refreshed``, ``drift``).  When the run ledger is enabled
-    (:func:`repro.telemetry.ledger.enable` / ``--ledger`` /
-    ``REPRO_LEDGER=1``), each epoch's scores are appended as the ``quality``
-    field of a RunRecord with context ``"temporal.epoch<k>"``.
+    (:func:`repro.telemetry.ledger.enabled_scope` / ``--observe``), each
+    epoch's scores are appended as the ``quality`` field of a RunRecord with
+    context ``"temporal.epoch<k>"``.
     """
     from repro.telemetry import ledger
 

@@ -14,10 +14,10 @@ The observability substrate for the whole pipeline (see
   pool workers spool their spans/metrics/memory to per-worker JSONL files
   and emit heartbeats; the parent merges the spools into the main tracer
   and registry (clock-corrected, per-pid Perfetto lanes) and flags stalled
-  workers (``REPRO_STALL_TIMEOUT_S``);
+  workers;
 * **Progress** (:mod:`repro.telemetry.progress`) — single-line terminal
-  progress driven by task completions and worker heartbeats (the CLI's
-  ``--progress`` flag).
+  progress driven by task completions and worker heartbeats (the CLI
+  renders it whenever stderr is a terminal).
 
 On top of the substrate sits the *persistence* layer:
 
@@ -30,8 +30,8 @@ On top of the substrate sits the *persistence* layer:
 * **Reports** (:mod:`repro.telemetry.report`, CLI
   ``python -m repro.telemetry.report``) — terminal and self-contained
   HTML trajectory/stage-breakdown/flamegraph rendering;
-* **Numerical health** (:mod:`repro.telemetry.health`, CLI ``--health``)
-  — per-stage content digests plus contract probes (sparsifier mass,
+* **Numerical health** (:mod:`repro.telemetry.health`) — per-stage
+  content digests plus contract probes (sparsifier mass,
   factorization residual, finiteness), recorded into spans, metrics and
   the ledger's ``health``/``digests`` blocks under a configurable
   ``off|record|warn|raise`` policy;
@@ -40,18 +40,20 @@ On top of the substrate sits the *persistence* layer:
   ledger runs digest by digest and localizes the first diverging stage.
 
 Everything is **disabled by default** and the instrumentation left in the
-hot paths costs a single gated function call in that state.  Typical use::
+hot paths costs a single gated function call in that state.  One switch
+turns all of it on for a block and writes the run bundle
+(:mod:`repro.telemetry.bundle`: ``trace.json``, ``metrics.json``,
+``runs.jsonl``, ``log.txt``)::
 
     from repro import telemetry
 
-    tracer = telemetry.enable()
-    result = lightne_embedding(graph, params, seed=0)
-    tracer.write_chrome_trace("trace.json")          # open in Perfetto
-    telemetry.get_metrics().write_json("metrics.json")
-    telemetry.disable()
+    with telemetry.observe("runs/r1"):
+        result = lightne_embedding(graph, params, seed=0)
 
-or from the CLI: ``lightne embed ... --trace-out trace.json
---metrics-out metrics.json --profile-memory``.
+or from the CLI: ``lightne embed ... --observe runs/r1``.  The layers stay
+usable one by one: :func:`enable` / :func:`disable` for spans and metrics,
+``ledger.enabled_scope()`` for the ledger, ``health.policy_scope()`` for
+the health policy (including ``raise``).
 """
 
 from repro.telemetry.tracer import (
@@ -87,6 +89,7 @@ from repro.telemetry.memory import (
 )
 from repro.telemetry.environment import collect_fingerprint, fingerprint_key
 from repro.telemetry.ledger import RunLedger, RunRecord
+from repro.telemetry.bundle import RunBundle, observe
 from repro.telemetry.health import (
     HealthRecorder,
     ProbeResult,
@@ -99,7 +102,7 @@ from repro.telemetry.health import (
 # Submodules imported for attribute access (telemetry.progress.enable()
 # etc.); ``worker`` must come after ``progress``, which it imports;
 # ``health`` is also re-imported as a submodule so ``telemetry.health.
-# set_policy(...)`` works without a separate import.
+# policy_scope(...)`` works without a separate import.
 from repro.telemetry import health
 from repro.telemetry import progress
 from repro.telemetry import worker
@@ -138,6 +141,9 @@ __all__ = [
     "fingerprint_key",
     "RunLedger",
     "RunRecord",
+    # run bundle
+    "RunBundle",
+    "observe",
     # numerical health
     "HealthRecorder",
     "ProbeResult",

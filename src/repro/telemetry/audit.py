@@ -32,7 +32,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.telemetry.ledger import RunLedger, RunRecord, active_path
+from repro.telemetry.ledger import DEFAULT_PATH, RunLedger, RunRecord
 from repro.telemetry.report import format_rows
 
 
@@ -147,12 +147,12 @@ def compare_runs(record_a: RunRecord, record_b: RunRecord) -> AuditReport:
     if not record_a.digests:
         report.warnings.append(
             f"run {record_a.run_id} carries no stage digests "
-            "(recorded without --health?)"
+            "(recorded without --observe or a health policy?)"
         )
     if not record_b.digests:
         report.warnings.append(
             f"run {record_b.run_id} carries no stage digests "
-            "(recorded without --health?)"
+            "(recorded without --observe or a health policy?)"
         )
     stats_a = _stage_stats(record_a)
     stats_b = _stage_stats(record_b)
@@ -319,7 +319,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     "diverging stage",
     )
     add_audit_arguments(parser)
-    args = parser.parse_args(argv)
+    return audit_from_args(parser.parse_args(argv))
+
+
+def audit_from_args(args: argparse.Namespace) -> int:
+    """:func:`run_audit` on flags parsed by :func:`add_audit_arguments`."""
     return run_audit(
         args.ledger,
         args.runs,
@@ -330,18 +334,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
 
 
-def add_audit_arguments(
-    parser: argparse.ArgumentParser,
-    *,
-    ledger_dest: str = "ledger",
-    method_dest: str = "method",
-    dataset_dest: str = "dataset",
-) -> None:
-    """The audit argument set (shared with the ``lightne audit`` subcommand).
-
-    The ``*_dest`` overrides let the main CLI mount these flags without
-    colliding with its own ``--ledger`` / ``--method`` namespace entries.
-    """
+def add_audit_arguments(parser: argparse.ArgumentParser) -> None:
+    """The audit argument set (shared with the ``lightne audit`` subcommand)."""
     parser.add_argument(
         "runs", nargs="*", metavar="RUN",
         help="two runs to compare: run-id prefixes or 1-based ledger "
@@ -349,17 +343,12 @@ def add_audit_arguments(
              "nearest earlier run of the same method × dataset",
     )
     parser.add_argument(
-        "--ledger", dest=ledger_dest, default=active_path(),
-        help="run-ledger JSONL path (default: REPRO_LEDGER_PATH or "
-             "benchmarks/results/runs.jsonl)",
+        "--ledger", default=DEFAULT_PATH,
+        help="run-ledger JSONL path, e.g. DIR/runs.jsonl of an --observe "
+             "bundle (default: benchmarks/results/runs.jsonl)",
     )
-    parser.add_argument(
-        "--method", dest=method_dest, help="consider only this method's runs"
-    )
-    parser.add_argument(
-        "--dataset", dest=dataset_dest,
-        help="consider only this dataset's runs",
-    )
+    parser.add_argument("--method", help="consider only this method's runs")
+    parser.add_argument("--dataset", help="consider only this dataset's runs")
     parser.add_argument(
         "--strict", action="store_true",
         help="exit non-zero unless every compared stage digest matches "

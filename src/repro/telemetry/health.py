@@ -28,10 +28,10 @@ identical digests.
 Policy
 ------
 Behaviour on a failed probe is governed by a process-level policy
-(``off`` / ``record`` / ``warn`` / ``raise``), set via :func:`set_policy`
-(what the CLI's ``--health`` flag calls) or the ``REPRO_HEALTH`` environment
-variable.  ``off`` (default) skips all digest/probe work; ``record`` keeps
-results silently; ``warn`` logs failures; ``raise`` throws a typed
+(``off`` / ``record`` / ``warn`` / ``raise``), set for a block with
+:func:`policy_scope` (the CLI's ``--observe`` bundle runs under ``warn``).
+``off`` (default) skips all digest/probe work; ``record`` keeps results
+silently; ``warn`` logs failures; ``raise`` throws a typed
 :class:`~repro.errors.NumericalHealthError`.
 
 Results flow three ways: span attributes on the current telemetry span,
@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import os
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -63,7 +62,6 @@ from repro.utils.log import get_logger
 logger = get_logger(__name__)
 
 POLICIES = ("off", "record", "warn", "raise")
-ENV_POLICY = "REPRO_HEALTH"
 
 # Hex chars of SHA-256 kept per digest (64+ bits — ample for run diffing
 # while keeping ledger lines compact).
@@ -103,27 +101,9 @@ def _validate_policy(policy: str) -> str:
     return policy
 
 
-def set_policy(policy: str) -> None:
-    """Set the process-wide health policy (what ``--health`` does)."""
-    global _policy
-    validated = _validate_policy(policy)
-    with _policy_lock:
-        _policy = validated
-
-
-def clear_policy() -> None:
-    """Revert to the environment/default policy."""
-    global _policy
-    with _policy_lock:
-        _policy = None
-
-
 def get_policy() -> str:
-    """The effective policy: :func:`set_policy` > ``REPRO_HEALTH`` > off."""
-    if _policy is not None:
-        return _policy
-    env = os.environ.get(ENV_POLICY, "").strip().lower()
-    return env if env in POLICIES else "off"
+    """The effective policy: the innermost :func:`policy_scope`, else off."""
+    return _policy if _policy is not None else "off"
 
 
 def is_active() -> bool:
@@ -133,7 +113,7 @@ def is_active() -> bool:
 
 @contextmanager
 def policy_scope(policy: str) -> Iterator[None]:
-    """Temporarily force a policy (test/benchmark discipline)."""
+    """Run a block under ``policy``; the previous policy returns on exit."""
     global _policy
     with _policy_lock:
         previous = _policy

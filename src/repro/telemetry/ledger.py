@@ -12,11 +12,10 @@ metrics snapshot, peak RSS and optional quality metrics — to
 :mod:`repro.telemetry.report` renders trajectories from it.
 
 Recording is **opt-in** and piggybacks on :func:`repro.embedding.base.run_pipeline`:
-
-* ``REPRO_LEDGER=1`` in the environment, or
-* :func:`enable` (what the CLI's ``--ledger`` flag calls), or
-* :func:`enabled_scope` around a block (what ``benchmarks/harness.embed``
-  uses so benchmark runs are *always* recorded).
+runs inside an :func:`enabled_scope` block are recorded.  The CLI's
+``--observe DIR`` bundle (:func:`repro.telemetry.bundle.observe`) opens one
+on ``DIR/runs.jsonl``; ``benchmarks/harness.embed`` and the benchmark
+session fixture open one so benchmark runs are *always* recorded.
 
 Because graphs don't know their dataset name (``CSRGraph`` is slotted),
 the dataset travels through a module-level context: loaders call
@@ -43,11 +42,7 @@ logger = get_logger(__name__)
 
 SCHEMA_VERSION = 1
 
-ENV_ENABLE = "REPRO_LEDGER"
-ENV_PATH = "REPRO_LEDGER_PATH"
 DEFAULT_PATH = os.path.join("benchmarks", "results", "runs.jsonl")
-
-_TRUTHY = {"1", "true", "yes", "on"}
 
 # Fields every schema-valid record line must carry.
 REQUIRED_FIELDS = (
@@ -280,40 +275,14 @@ _path: Optional[str] = None
 _dataset: Optional[str] = None
 
 
-def enable(
-    path: Optional[Union[str, "os.PathLike"]] = None,
-    dataset: Optional[str] = None,
-) -> None:
-    """Turn on run recording for this process (what ``--ledger`` does)."""
-    global _enabled, _path, _dataset
-    with _state_lock:
-        _enabled = True
-        if path is not None:
-            _path = os.fspath(path)
-        if dataset is not None:
-            _dataset = dataset
-
-
-def disable() -> None:
-    """Turn off run recording and clear the configured path."""
-    global _enabled, _path
-    with _state_lock:
-        _enabled = False
-        _path = None
-
-
 def is_enabled() -> bool:
-    """Whether runs are currently recorded (:func:`enable` or ``REPRO_LEDGER``)."""
-    if _enabled:
-        return True
-    return os.environ.get(ENV_ENABLE, "").strip().lower() in _TRUTHY
+    """Whether runs are currently recorded (inside an :func:`enabled_scope`)."""
+    return _enabled
 
 
 def active_path() -> str:
-    """The ledger file new records go to (flag > env > default)."""
-    if _path is not None:
-        return _path
-    return os.environ.get(ENV_PATH) or DEFAULT_PATH
+    """The ledger file new records go to (the scope's path, else the default)."""
+    return _path if _path is not None else DEFAULT_PATH
 
 
 def set_dataset(name: Optional[str]) -> None:
@@ -332,7 +301,7 @@ def enabled_scope(
     path: Optional[Union[str, "os.PathLike"]] = None,
     dataset: Optional[str] = None,
 ) -> Iterator[None]:
-    """Temporarily force recording on (the benchmark harness's discipline)."""
+    """Record every run in the block; the previous state returns on exit."""
     global _enabled, _path, _dataset
     with _state_lock:
         prev = (_enabled, _path, _dataset)

@@ -1,4 +1,4 @@
-"""Single-line terminal progress rendering (the CLI's ``--progress`` flag).
+"""Single-line terminal progress rendering (CLI runs with stderr on a terminal).
 
 Progress is fed from two directions and both land here:
 

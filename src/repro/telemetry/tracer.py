@@ -16,7 +16,7 @@ the tree and exports it two ways:
 Tracing is **off by default** and designed to be left compiled-in: every
 instrumentation point calls :func:`span`, which returns a shared no-op
 context manager when no tracer is installed — no allocation, no timestamps,
-no locks.  Enable with :func:`enable` (or the CLI's ``--trace-out``).
+no locks.  Enable with :func:`enable` (or the CLI's ``--observe DIR``).
 
 Parenting is thread-aware: each thread keeps its own current-span stack, so
 concurrent stages nest correctly.  Pool threads start with an empty stack;

@@ -19,7 +19,7 @@ valid spool covering everything it completed.
 **Parent side** — :class:`SpoolCollector` owns the spool directory for one
 pool's lifetime, runs a :class:`StallMonitor` thread over the heartbeat
 files (no beat for longer than the timeout ⇒ warning log +
-``parallel.stalled_workers`` metric + a ``--progress`` annotation), and at
+``parallel.stalled_workers`` metric + a progress-line annotation), and at
 pool shutdown merges every spool into the parent tracer/registry:
 timestamps are shifted by a wall-clock-anchored monotonic offset
 (:func:`clock_offset`), span trees rebuilt tolerant of missing parents,
@@ -29,9 +29,10 @@ per-worker peak memory published as ``parallel.worker.*`` gauges.
 Every line in a spool is self-describing JSON; truncated or garbage lines
 (killed workers) are skipped, never fatal.
 
-Knobs (environment): ``REPRO_HEARTBEAT_S`` — worker beat period (default
-0.25 s); ``REPRO_STALL_TIMEOUT_S`` — silence threshold before a worker is
-reported stalled (default 30 s).
+Timing: workers beat every :data:`DEFAULT_HEARTBEAT_S` seconds and a
+worker silent for :data:`DEFAULT_STALL_TIMEOUT_S` seconds is reported
+stalled; :class:`SpoolCollector` takes ``heartbeat_s`` / ``timeout_s``
+arguments to override both for one pool.
 """
 
 from __future__ import annotations
@@ -57,36 +58,8 @@ SPOOL_SUFFIX = ".jsonl"
 BEAT_PREFIX = "beat-"
 BEAT_SUFFIX = ".json"
 
-ENV_HEARTBEAT = "REPRO_HEARTBEAT_S"
-ENV_STALL_TIMEOUT = "REPRO_STALL_TIMEOUT_S"
 DEFAULT_HEARTBEAT_S = 0.25
 DEFAULT_STALL_TIMEOUT_S = 30.0
-
-
-def heartbeat_interval() -> float:
-    """Worker beat period in seconds (``REPRO_HEARTBEAT_S`` override)."""
-    raw = os.environ.get(ENV_HEARTBEAT, "").strip()
-    if raw:
-        try:
-            value = float(raw)
-            if value > 0:
-                return value
-        except ValueError:
-            logger.warning("ignoring invalid %s=%r", ENV_HEARTBEAT, raw)
-    return DEFAULT_HEARTBEAT_S
-
-
-def stall_timeout() -> float:
-    """Silence threshold before a worker counts as stalled (env override)."""
-    raw = os.environ.get(ENV_STALL_TIMEOUT, "").strip()
-    if raw:
-        try:
-            value = float(raw)
-            if value > 0:
-                return value
-        except ValueError:
-            logger.warning("ignoring invalid %s=%r", ENV_STALL_TIMEOUT, raw)
-    return DEFAULT_STALL_TIMEOUT_S
 
 
 # ---------------------------------------------------------------------------
@@ -625,7 +598,7 @@ class SpoolCollector:
         self.total_tasks = int(total_tasks)
         self.tracing = bool(tracing)
         self.heartbeat_s = (
-            float(heartbeat_s) if heartbeat_s is not None else heartbeat_interval()
+            float(heartbeat_s) if heartbeat_s is not None else DEFAULT_HEARTBEAT_S
         )
         self.spool_dir = tempfile.mkdtemp(prefix="repro-spool-")
         # Worker roots nest under the span that launched the pool.
@@ -634,7 +607,9 @@ class SpoolCollector:
             self.spool_dir,
             label=self.label,
             timeout_s=(
-                float(timeout_s) if timeout_s is not None else stall_timeout()
+                float(timeout_s)
+                if timeout_s is not None
+                else DEFAULT_STALL_TIMEOUT_S
             ),
             total_tasks=self.total_tasks,
             progress=progress,
@@ -691,7 +666,7 @@ def maybe_collector(label: Optional[str], total_tasks: int) -> Optional[SpoolCol
     """A :class:`SpoolCollector` when telemetry or progress wants one, else ``None``.
 
     The gate keeping cross-process telemetry zero-cost by default: with
-    tracing off and no ``--progress``, process pools run exactly as before
+    tracing and progress off, process pools run exactly as before
     (no spool dir, no wrapper, no monitor thread).
     """
     tracing = tracer_mod.is_enabled()

@@ -12,8 +12,8 @@ Two write disciplines, for two failure modes:
   concurrent appenders (parallel benchmark shards) interleave whole records,
   never partial ones.  This is the run ledger's discipline.
 
-Both create missing parent directories, so ``--metrics-out out/m.json``
-works without a preparatory ``mkdir``.
+Both create missing parent directories, so ``--observe out/run1`` works
+without a preparatory ``mkdir``.
 """
 
 from __future__ import annotations

@@ -7,26 +7,25 @@ default (a ``NullHandler``, per library convention) — applications opt in:
 >>> logging.getLogger("repro").setLevel(logging.DEBUG)
 >>> logging.basicConfig()
 
-or, without touching the ``logging`` module, via :func:`configure_logging`
-(also reachable as ``lightne --verbose`` on the CLI, and honoring the
-``REPRO_LOG`` environment variable):
+or, without touching the ``logging`` module, via :func:`configure_logging`:
 
 >>> from repro.utils.log import configure_logging
 >>> logger = configure_logging("DEBUG")   # doctest: +SKIP
 
 Pipelines emit DEBUG lines at stage boundaries (sample counts, sparsifier
 sizes, matrix shapes), which is usually all that is needed to diagnose a
-misbehaving configuration without a debugger.
+misbehaving configuration without a debugger.  The CLI prints WARNING and
+above on stderr for the duration of a command; ``--observe DIR`` captures
+every DEBUG line in ``DIR/log.txt``.
 """
 
 from __future__ import annotations
 
 import logging
-import os
-from typing import Optional, Union
+from contextlib import contextmanager
+from typing import Iterator, Union
 
 _ROOT_NAME = "repro"
-_ENV_VAR = "REPRO_LOG"
 _DEFAULT_FORMAT = "%(asctime)s %(levelname)-7s %(name)s: %(message)s"
 
 logging.getLogger(_ROOT_NAME).addHandler(logging.NullHandler())
@@ -55,7 +54,7 @@ def _coerce_level(level: Union[int, str]) -> int:
 
 
 def configure_logging(
-    level: Optional[Union[int, str]] = None,
+    level: Union[int, str] = logging.INFO,
     *,
     stream=None,
     fmt: str = _DEFAULT_FORMAT,
@@ -64,17 +63,10 @@ def configure_logging(
 
     Attaches one stream handler to the ``"repro"`` logger (idempotent —
     repeated calls adjust the level instead of stacking handlers) and sets
-    the level:
-
-    * explicit ``level`` argument wins (int, digit string or level name);
-    * otherwise the ``REPRO_LOG`` environment variable (e.g.
-      ``REPRO_LOG=DEBUG lightne embed ...``);
-    * otherwise ``INFO``.
+    the level (int, digit string or level name; default ``INFO``).
 
     Returns the configured ``"repro"`` logger.
     """
-    if level is None:
-        level = os.environ.get(_ENV_VAR) or logging.INFO
     resolved = _coerce_level(level)
     root = logging.getLogger(_ROOT_NAME)
     root.setLevel(resolved)
@@ -92,3 +84,26 @@ def configure_logging(
         handler.setStream(stream)  # type: ignore[attr-defined]
     handler.setLevel(resolved)
     return root
+
+
+@contextmanager
+def log_to(handler: logging.Handler, level: int) -> Iterator[None]:
+    """Send the library's records at ``level`` and above to ``handler`` for a block.
+
+    Lowers the ``"repro"`` logger's level when it would filter those records
+    out; on exit the handler is removed and closed and the level restored,
+    so the logger is left exactly as it was found.
+    """
+    root = logging.getLogger(_ROOT_NAME)
+    previous = root.level
+    handler.setLevel(level)
+    handler.setFormatter(logging.Formatter(_DEFAULT_FORMAT))
+    root.addHandler(handler)
+    if root.getEffectiveLevel() > level:
+        root.setLevel(level)
+    try:
+        yield
+    finally:
+        root.removeHandler(handler)
+        root.setLevel(previous)
+        handler.close()

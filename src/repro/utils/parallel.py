@@ -246,7 +246,7 @@ def parallel_map(
         ``"thread"`` (default) or ``"process"`` — see the module docstring.
         Process tasks must be picklable module-level callables.
     label:
-        Stage name for observability: progress lines (``--progress``),
+        Stage name for observability: the stderr progress line,
         stall-detector warnings, worker trace lanes and
         :class:`~repro.errors.WorkerError` messages.  ``None`` opts the call
         out of progress rendering (telemetry spooling still engages for

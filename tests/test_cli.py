@@ -156,6 +156,18 @@ class TestCommands:
         assert "MRR" in out
 
 
+REMOVED_FLAGS = (
+    ["--trace-out", "t.json"],
+    ["--metrics-out", "m.json"],
+    ["--profile-memory"],
+    ["--ledger"],
+    ["--ledger-out", "runs.jsonl"],
+    ["--health", "record"],
+    ["--verbose"],
+    ["--progress"],
+)
+
+
 class TestObservabilityFlags:
     @pytest.fixture(autouse=True)
     def _telemetry_teardown(self):
@@ -165,86 +177,126 @@ class TestObservabilityFlags:
         telemetry.disable()
         telemetry.reset_metrics()
 
+    @staticmethod
+    def _embed(edge_file, tmp_path, *extra):
+        return main(
+            [
+                "embed", "--input", edge_file, "--method", "lightne",
+                "--dim", "8", "--window", "2", "--workers", "2",
+                "--output", str(tmp_path / "v.npy"), *extra,
+            ]
+        )
+
     def test_flags_registered_on_every_subcommand(self):
         for argv in (
             ["embed", "--dataset", "blogcatalog_like"],
             ["info", "--dataset", "blogcatalog_like"],
+            ["eval-nc", "--embeddings", "v.npy"],
+            ["eval-lp"],
+            ["stream"],
+            ["convert"],
+            ["compare"],
         ):
-            args = build_parser().parse_args(argv)
-            assert args.trace_out is None
-            assert args.metrics_out is None
-            assert args.profile_memory is False
-            assert args.verbose is False
+            assert build_parser().parse_args(argv).observe is None
+            args = build_parser().parse_args(argv + ["--observe", "d"])
+            assert args.observe == "d"
+
+    @pytest.mark.parametrize("flag", REMOVED_FLAGS, ids=lambda f: f[0])
+    def test_removed_flag_is_a_usage_error(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(
+                ["embed", "--dataset", "blogcatalog_like", *flag]
+            )
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_trace_and_metrics_outputs(self, edge_file, tmp_path, capsys):
         import json
 
-        trace_path = tmp_path / "trace.json"
-        metrics_path = tmp_path / "metrics.json"
-        code = main(
-            [
-                "embed", "--input", edge_file, "--method", "lightne",
-                "--dim", "8", "--window", "2", "--workers", "2",
-                "--output", str(tmp_path / "v.npy"),
-                "--trace-out", str(trace_path),
-                "--metrics-out", str(metrics_path),
-            ]
-        )
-        assert code == 0
-        trace = json.loads(trace_path.read_text())
+        bundle = tmp_path / "bundle"
+        assert self._embed(edge_file, tmp_path, "--observe", str(bundle)) == 0
+        trace = json.loads((bundle / "trace.json").read_text())
         names = {e["name"] for e in trace["traceEvents"] if e.get("ph") == "X"}
-        assert {"cli", "lightne", "sparsifier", "svd"} <= names
-        metrics = json.loads(metrics_path.read_text())
+        assert {"cli", "lightne", "sparsifier", "svd", "propagation"} <= names
+        metrics = json.loads((bundle / "metrics.json").read_text())
         assert metrics["counters"] and metrics["histograms"]
+        assert metrics["gauges"]["memory.rss_peak_bytes"]["max"] > 0
+        (line,) = (bundle / "runs.jsonl").read_text().splitlines()
+        record = json.loads(line)
+        assert record["digests"]["final"]
+        assert record["health"]["policy"] == "warn"
+        assert "DEBUG" in (bundle / "log.txt").read_text()
         out = capsys.readouterr().out
-        assert str(trace_path) in out and str(metrics_path) in out
+        assert f"run bundle -> {bundle}" in out
+        assert "ledger lines appended=1" in out
 
     def test_profile_memory_reports_peak(self, edge_file, tmp_path, capsys):
-        code = main(
-            [
-                "embed", "--input", edge_file, "--method", "lightne",
-                "--dim", "8", "--window", "2",
-                "--output", str(tmp_path / "v.npy"), "--profile-memory",
-            ]
-        )
+        code = self._embed(edge_file, tmp_path, "--observe", str(tmp_path / "b"))
         assert code == 0
-        assert "peak RSS" in capsys.readouterr().out
+        assert "peak RSS=" in capsys.readouterr().out
+
+    def test_info_bundle_reports_no_ledger_lines(self, edge_file, tmp_path, capsys):
+        bundle = tmp_path / "b"
+        assert main(["info", "--input", edge_file, "--observe", str(bundle)]) == 0
+        assert "ledger lines appended=0" in capsys.readouterr().out
+        assert not (bundle / "runs.jsonl").exists()
+
+    def test_audit_across_two_runs_in_one_bundle(self, edge_file, tmp_path, capsys):
+        bundle = tmp_path / "b"
+        for backend in ("thread", "process"):
+            code = self._embed(
+                edge_file, tmp_path, "--backend", backend, "--observe", str(bundle)
+            )
+            assert code == 0
+        ledger_path = str(bundle / "runs.jsonl")
+        assert main(["audit", "--ledger", ledger_path, "1", "2", "--strict"]) == 0
+        assert "IDENTICAL" in capsys.readouterr().out
 
     def test_telemetry_disabled_after_run(self, edge_file, tmp_path):
         from repro import telemetry
+        from repro.telemetry import health, ledger
 
-        main(
-            [
-                "embed", "--input", edge_file, "--method", "lightne",
-                "--dim", "8", "--window", "2",
-                "--output", str(tmp_path / "v.npy"),
-                "--trace-out", str(tmp_path / "t.json"),
-            ]
-        )
+        self._embed(edge_file, tmp_path, "--observe", str(tmp_path / "b"))
         assert not telemetry.is_enabled()
+        assert not ledger.is_enabled()
+        assert health.get_policy() == "off"
 
-    def test_verbose_emits_debug_logs(self, edge_file, tmp_path, caplog):
+    def test_no_side_effects_without_observe(
+        self, edge_file, tmp_path, monkeypatch
+    ):
+        from repro import telemetry
+        from repro.telemetry import health, ledger
+
+        monkeypatch.chdir(tmp_path)
+        assert self._embed(edge_file, tmp_path) == 0
+        assert {p.name for p in tmp_path.iterdir()} == {"graph.edges", "v.npy"}
+        assert not telemetry.is_enabled()
+        assert not ledger.is_enabled()
+        assert health.get_policy() == "off"
+
+    def test_observe_log_has_debug_lines(self, edge_file, tmp_path):
         import logging
 
-        with caplog.at_level(logging.DEBUG, logger="repro"):
-            code = main(
-                [
-                    "embed", "--input", edge_file, "--method", "lightne",
-                    "--dim", "8", "--window", "2",
-                    "--output", str(tmp_path / "v.npy"), "--verbose",
-                ]
-            )
-            assert code == 0
-            assert logging.getLogger("repro").level == logging.DEBUG
-        messages = " ".join(r.message for r in caplog.records)
-        assert "sparsifier nnz" in messages
-        # Drop the handler configure_logging attached so later tests'
-        # caplog/capsys assertions see a quiet logger again.
         root = logging.getLogger("repro")
-        for handler in list(root.handlers):
-            if getattr(handler, "_repro_configured", False):
-                root.removeHandler(handler)
-        root.setLevel(logging.NOTSET)
+        before = (root.level, list(root.handlers))
+        bundle = tmp_path / "b"
+        assert self._embed(edge_file, tmp_path, "--observe", str(bundle)) == 0
+        assert (root.level, list(root.handlers)) == before
+        log = (bundle / "log.txt").read_text()
+        assert "DEBUG" in log and "sparsifier nnz" in log
+
+    def test_library_warnings_reach_stderr(
+        self, edge_file, tmp_path, monkeypatch, capsys
+    ):
+        import repro.embedding.lightne as lightne_mod
+
+        monkeypatch.setattr(
+            lightne_mod,
+            "spectral_propagation",
+            lambda graph, vectors, **kw: np.full_like(vectors, np.nan),
+        )
+        assert self._embed(edge_file, tmp_path) == 0
+        assert "non-finite" in capsys.readouterr().err
 
 
 class TestFormats:

@@ -2,7 +2,7 @@
 
 Covers the digest canonicalization contract (memory order / triplet order
 never change a fingerprint, content always does), the policy state machine
-(set_policy > REPRO_HEALTH > off), recorder/probe policy handling, the
+(nested ``policy_scope`` blocks over an ``off`` default), recorder/probe policy handling, the
 ``run_pipeline`` integration (``info["health"]`` / ``info["digests"]``, the
 ledger blocks, the fail-fast non-finite guard), and the determinism sweep:
 stage digests are bit-identical across ``workers`` counts on both execution
@@ -110,44 +110,23 @@ class TestCSRDigest:
 
 
 class TestPolicy:
-    @pytest.fixture(autouse=True)
-    def _clean(self, monkeypatch):
-        monkeypatch.delenv(health.ENV_POLICY, raising=False)
-        health.clear_policy()
-        yield
-        health.clear_policy()
-
     def test_default_off(self):
         assert health.get_policy() == "off"
         assert not health.is_active()
 
-    def test_set_and_clear(self):
-        health.set_policy("warn")
-        assert health.get_policy() == "warn"
-        assert health.is_active()
-        health.clear_policy()
-        assert health.get_policy() == "off"
-
-    def test_env_variable(self, monkeypatch):
-        monkeypatch.setenv(health.ENV_POLICY, "record")
-        assert health.get_policy() == "record"
-        monkeypatch.setenv(health.ENV_POLICY, "bogus")
-        assert health.get_policy() == "off"
-
-    def test_set_policy_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv(health.ENV_POLICY, "record")
-        health.set_policy("raise")
-        assert health.get_policy() == "raise"
-
     def test_invalid_rejected(self):
         with pytest.raises(ValueError, match="health policy"):
-            health.set_policy("loud")
+            with health.policy_scope("loud"):
+                pass
+        assert health.get_policy() == "off"
 
     def test_policy_scope_restores(self):
-        health.set_policy("record")
-        with health.policy_scope("raise"):
-            assert health.get_policy() == "raise"
-        assert health.get_policy() == "record"
+        with health.policy_scope("record"):
+            with health.policy_scope("raise"):
+                assert health.get_policy() == "raise"
+                assert health.is_active()
+            assert health.get_policy() == "record"
+        assert health.get_policy() == "off"
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +192,7 @@ class TestRecorder:
 
 class TestPipelineIntegration:
     def test_off_by_default_no_blocks(self, er_graph):
-        health.clear_policy()
+        assert health.get_policy() == "off"
         res = lightne_embedding(er_graph, LightNEParams(**SMALL), seed=1)
         assert "health" not in res.info and "digests" not in res.info
 
@@ -282,7 +261,7 @@ class TestPipelineIntegration:
             "spectral_propagation",
             lambda graph, vectors, **kw: np.full_like(vectors, np.nan),
         )
-        health.clear_policy()
+        assert health.get_policy() == "off"
         res = lightne_embedding(
             er_graph, LightNEParams(workers=1, **SMALL), seed=1
         )

@@ -28,11 +28,9 @@ def graph():
 
 @pytest.fixture(autouse=True)
 def _clean_ledger_state():
-    """Every test starts with recording off and no dataset context."""
-    ledger.disable()
+    """Every test starts with no dataset context."""
     ledger.set_dataset(None)
     yield
-    ledger.disable()
     ledger.set_dataset(None)
 
 
@@ -185,15 +183,6 @@ class TestPipelineWiring:
         assert record.fingerprint == environment.fingerprint_key()
         assert record.total_s == pytest.approx(result.timer.total)
         assert validate_record(record.to_dict()) == []
-
-    def test_env_variable_enables(self, graph, tmp_path, monkeypatch):
-        path = tmp_path / "envruns.jsonl"
-        monkeypatch.setenv(ledger.ENV_ENABLE, "1")
-        monkeypatch.setenv(ledger.ENV_PATH, str(path))
-        ledger.set_dataset("env_ds")
-        run_method("lightne", graph, seed=0, dimension=8, window=3)
-        (record,) = RunLedger(path).records()
-        assert record.dataset == "env_ds"
 
     def test_stage_order_matches_registry(self, graph, tmp_path):
         """Ledger stage order is the registry's Table-5 order, not execution order."""

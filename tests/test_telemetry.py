@@ -425,3 +425,54 @@ class TestPipelineAcceptance:
         np.testing.assert_array_equal(plain.vectors, traced.vectors)
         assert plain.info["telemetry_enabled"] is False
         assert "telemetry" not in plain.info
+
+
+# ---------------------------------------------------------------------------
+# Run bundle (telemetry.observe)
+# ---------------------------------------------------------------------------
+
+
+class TestObserve:
+    def test_exception_still_writes_bundle_and_restores_state(self, tmp_path):
+        import logging
+
+        from repro.telemetry import health, ledger
+
+        root = logging.getLogger("repro")
+        before = (root.level, list(root.handlers))
+        with pytest.raises(RuntimeError, match="boom"):
+            with telemetry.observe(tmp_path / "b", "job", tag="x") as bundle:
+                assert telemetry.is_enabled()
+                assert ledger.is_enabled()
+                assert ledger.active_path() == str(tmp_path / "b" / "runs.jsonl")
+                assert health.get_policy() == "warn"
+                with telemetry.span("inner"):
+                    raise RuntimeError("boom")
+        assert not telemetry.is_enabled()
+        assert not ledger.is_enabled()
+        assert health.get_policy() == "off"
+        assert (root.level, list(root.handlers)) == before
+        doc = json.loads((tmp_path / "b" / "trace.json").read_text())
+        spans = {e["name"]: e for e in doc["traceEvents"] if e.get("ph") == "X"}
+        assert {"job", "inner"} <= set(spans)
+        assert spans["job"]["args"]["tag"] == "x"
+        assert (tmp_path / "b" / "metrics.json").exists()
+        assert bundle.span_count == 2 and bundle.ledger_lines == 0
+
+    def test_previous_tracer_is_reinstalled(self, enabled, tmp_path):
+        with telemetry.observe(tmp_path / "b"):
+            assert telemetry.get_tracer() is not enabled
+        assert telemetry.get_tracer() is enabled
+
+    def test_ledger_appends_across_blocks(self, tmp_path):
+        from repro import LightNEParams, erdos_renyi_graph, lightne_embedding
+
+        graph = erdos_renyi_graph(40, 0.2, seed=0)
+        params = LightNEParams(dimension=4, window=2, propagation_order=2)
+        for _ in range(2):
+            with telemetry.observe(tmp_path / "b") as bundle:
+                lightne_embedding(graph, params, seed=0)
+            assert bundle.ledger_lines == 1
+        lines = (tmp_path / "b" / "runs.jsonl").read_text().splitlines()
+        assert len(lines) == 2
+        assert all(json.loads(line)["digests"] for line in lines)

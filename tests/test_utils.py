@@ -489,29 +489,19 @@ class TestConfigureLogging:
             if getattr(handler, "_repro_configured", False):
                 root.removeHandler(handler)
 
-    def test_explicit_level_wins(self, monkeypatch):
+    def test_explicit_level_wins(self):
         import logging
 
         from repro.utils.log import configure_logging
 
-        monkeypatch.setenv("REPRO_LOG", "ERROR")
-        root = configure_logging("DEBUG")
-        assert root.level == logging.DEBUG
+        assert configure_logging("DEBUG").level == logging.DEBUG
+        assert configure_logging("warning").level == logging.WARNING
 
-    def test_env_var_fallback(self, monkeypatch):
+    def test_default_is_info(self):
         import logging
 
         from repro.utils.log import configure_logging
 
-        monkeypatch.setenv("REPRO_LOG", "warning")
-        assert configure_logging().level == logging.WARNING
-
-    def test_default_is_info(self, monkeypatch):
-        import logging
-
-        from repro.utils.log import configure_logging
-
-        monkeypatch.delenv("REPRO_LOG", raising=False)
         assert configure_logging().level == logging.INFO
 
     def test_idempotent_handler(self):

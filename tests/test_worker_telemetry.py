@@ -380,15 +380,19 @@ class TestStallMonitor:
         snap = telemetry.get_metrics().snapshot()
         assert snap["gauges"]["parallel.stalled_workers_current"]["value"] == 0.0
 
-    def test_env_knobs(self, monkeypatch):
-        monkeypatch.setenv(worker_mod.ENV_HEARTBEAT, "0.5")
-        monkeypatch.setenv(worker_mod.ENV_STALL_TIMEOUT, "2.5")
-        assert worker_mod.heartbeat_interval() == 0.5
-        assert worker_mod.stall_timeout() == 2.5
-        monkeypatch.setenv(worker_mod.ENV_HEARTBEAT, "garbage")
-        monkeypatch.setenv(worker_mod.ENV_STALL_TIMEOUT, "-3")
-        assert worker_mod.heartbeat_interval() == worker_mod.DEFAULT_HEARTBEAT_S
-        assert worker_mod.stall_timeout() == worker_mod.DEFAULT_STALL_TIMEOUT_S
+    def test_collector_defaults_to_module_constants(self, monkeypatch):
+        monkeypatch.setattr(worker_mod, "DEFAULT_HEARTBEAT_S", 0.5)
+        monkeypatch.setattr(worker_mod, "DEFAULT_STALL_TIMEOUT_S", 2.5)
+        collector = worker_mod.SpoolCollector(
+            "t", 1, tracing=False, progress=False
+        )
+        try:
+            assert collector.heartbeat_s == 0.5
+            assert collector.monitor.timeout_s == 2.5
+            _, (config, _, _) = collector.initializer(None, ())
+            assert config["heartbeat_s"] == 0.5  # shipped to every worker
+        finally:
+            collector.finish()
 
 
 # ---------------------------------------------------------------------------
@@ -450,8 +454,8 @@ class TestProcessPoolEndToEnd:
         # Beats only at init/task-completion (huge interval), and a stall
         # threshold far below the sleep: the monitor must flag the silent
         # worker while the task is still running.
-        monkeypatch.setenv(worker_mod.ENV_HEARTBEAT, "3600")
-        monkeypatch.setenv(worker_mod.ENV_STALL_TIMEOUT, "0.2")
+        monkeypatch.setattr(worker_mod, "DEFAULT_HEARTBEAT_S", 3600.0)
+        monkeypatch.setattr(worker_mod, "DEFAULT_STALL_TIMEOUT_S", 0.2)
         parallel_map(
             _sleepy, [(1.2,), (1.2,)], workers=2,
             backend="process", label="pool.sleepy",
