@@ -5,7 +5,7 @@ Demonstrates every memory lever the paper pulls for its 100-billion-edge
 runs, on a scaled-down crawl:
 
 * Ligra+ parallel-byte **compression** of the input graph (the paper shrinks
-  ClueWeb from 564 GB to 107 GB; we print our ratio);
+  ClueWeb from 564 GB to 107 GB; we print our ratio and embed the CSR);
 * **degree downsampling** to keep the sparsifier at O(n log n) entries;
 * the §5.3 hyper-parameters — T=2, d=32, **no spectral propagation**;
 * the Figure-3 effect: HITS@K grows as the sample budget M grows.
@@ -32,7 +32,7 @@ def main() -> None:
         "(paper: ClueWeb 564 GB -> 107 GB)"
     )
 
-    train, pos_u, pos_v = train_test_split_edges(compressed, 0.002, seed=0)
+    train, pos_u, pos_v = train_test_split_edges(graph, 0.002, seed=0)
     print(f"link-prediction split: {pos_u.size} held-out edges\n")
 
     print(f"{'M':>7} {'samples':>10} {'sparsifier nnz':>15} "

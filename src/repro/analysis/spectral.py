@@ -15,43 +15,34 @@ scale.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple, Union
+from typing import Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
 
 from repro.errors import EvaluationError
-from repro.graph.compression import CompressedGraph
 from repro.graph.csr import CSRGraph
 from repro.graph.stats import spectral_gap
-
-GraphLike = Union[CSRGraph, CompressedGraph]
 
 DENSE_LIMIT = 2_000
 
 
-def _flat(graph: GraphLike) -> CSRGraph:
-    return graph.decompress() if isinstance(graph, CompressedGraph) else graph
-
-
-def laplacian_matrix(graph: GraphLike) -> sp.csr_matrix:
+def laplacian_matrix(graph: CSRGraph) -> sp.csr_matrix:
     """Combinatorial Laplacian ``L = D - A`` (weighted)."""
-    flat = _flat(graph)
-    adjacency = flat.adjacency()
+    adjacency = graph.adjacency()
     degrees = np.asarray(adjacency.sum(axis=1)).ravel()
     return (sp.diags(degrees) - adjacency).tocsr()
 
 
 def effective_resistances(
-    graph: GraphLike, sources: np.ndarray, targets: np.ndarray
+    graph: CSRGraph, sources: np.ndarray, targets: np.ndarray
 ) -> np.ndarray:
     """Exact effective resistances between the given vertex pairs.
 
     Requires a connected graph with at most ``DENSE_LIMIT`` vertices (uses
     the dense pseudo-inverse of ``L``).
     """
-    flat = _flat(graph)
-    n = flat.num_vertices
+    n = graph.num_vertices
     if n > DENSE_LIMIT:
         raise EvaluationError(
             f"exact resistances limited to {DENSE_LIMIT} vertices"
@@ -60,14 +51,14 @@ def effective_resistances(
     targets = np.asarray(targets, dtype=np.int64)
     if sources.shape != targets.shape:
         raise EvaluationError("sources/targets must be parallel")
-    lap = laplacian_matrix(flat).toarray()
+    lap = laplacian_matrix(graph).toarray()
     pinv = np.linalg.pinv(lap, hermitian=True)
     diag = np.diag(pinv)
     return diag[sources] + diag[targets] - 2.0 * pinv[sources, targets]
 
 
 def lovasz_resistance_bounds(
-    graph: GraphLike, sources: np.ndarray, targets: np.ndarray
+    graph: CSRGraph, sources: np.ndarray, targets: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Theorem 3.2's lower and upper bounds for the given pairs.
 
@@ -75,21 +66,20 @@ def lovasz_resistance_bounds(
     ``lower = (1/2)(1/d_u + 1/d_v)`` and
     ``upper = (1/(1-λ₂))(1/d_u + 1/d_v)``.
     """
-    flat = _flat(graph)
-    degrees = flat.weighted_degrees()
+    degrees = graph.weighted_degrees()
     sources = np.asarray(sources, dtype=np.int64)
     targets = np.asarray(targets, dtype=np.int64)
     if np.any(degrees[sources] <= 0) or np.any(degrees[targets] <= 0):
         raise EvaluationError("bounds need positive endpoint degrees")
     base = 1.0 / degrees[sources] + 1.0 / degrees[targets]
-    gap = spectral_gap(flat)
+    gap = spectral_gap(graph)
     if gap <= 0:
         raise EvaluationError("upper bound needs a positive spectral gap")
     return 0.5 * base, base / gap
 
 
 def quadratic_form_ratio(
-    original: GraphLike,
+    original: CSRGraph,
     sparsifier_laplacian: sp.spmatrix,
     directions: np.ndarray,
 ) -> np.ndarray:
@@ -98,12 +88,11 @@ def quadratic_form_ratio(
     Directions (columns of ``directions``) are projected off the all-ones
     kernel first; directions with negligible ``xᵀL_G x`` are skipped (nan).
     """
-    flat = _flat(original)
-    lap_g = laplacian_matrix(flat)
+    lap_g = laplacian_matrix(original)
     directions = np.atleast_2d(np.asarray(directions, dtype=np.float64))
-    if directions.shape[0] != flat.num_vertices:
+    if directions.shape[0] != original.num_vertices:
         directions = directions.T
-    if directions.shape[0] != flat.num_vertices:
+    if directions.shape[0] != original.num_vertices:
         raise EvaluationError("directions must have n rows")
     centered = directions - directions.mean(axis=0, keepdims=True)
     ratios = np.full(centered.shape[1], np.nan)
@@ -117,7 +106,7 @@ def quadratic_form_ratio(
 
 
 def exact_resistance_probabilities(
-    graph: GraphLike, *, constant: Optional[float] = None
+    graph: CSRGraph, *, constant: Optional[float] = None
 ) -> np.ndarray:
     """Keep probabilities from *exact* effective resistances.
 
@@ -132,19 +121,18 @@ def exact_resistance_probabilities(
     """
     from repro.sparsifier.downsampling import default_constant
 
-    flat = _flat(graph)
-    src, dst = flat.edge_endpoints()
+    src, dst = graph.edge_endpoints()
     mask = src < dst
     src, dst = src[mask], dst[mask]
-    weights = flat.weights[mask] if flat.weights is not None else np.ones(src.size)
+    weights = graph.weights[mask] if graph.weights is not None else np.ones(src.size)
     if constant is None:
-        constant = default_constant(flat.num_vertices)
-    resistances = effective_resistances(flat, src, dst)
+        constant = default_constant(graph.num_vertices)
+    resistances = effective_resistances(graph, src, dst)
     return np.minimum(1.0, constant * weights * resistances)
 
 
 def spectral_approximation_factor(
-    original: GraphLike,
+    original: CSRGraph,
     sparsifier_laplacian: sp.spmatrix,
     *,
     num_directions: int = 32,
@@ -155,17 +143,16 @@ def spectral_approximation_factor(
     A value ``ε`` certifies the sparsifier behaved like a ``(1±ε)``-spectral
     approximation on the tested directions (a lower bound on the true ε).
     """
-    flat = _flat(original)
-    n = flat.num_vertices
+    n = original.num_vertices
     rng = np.random.default_rng(seed)
     directions = [rng.standard_normal((n, num_directions))]
     if n <= DENSE_LIMIT:
         # Add the true eigen-directions of L_G — the adversarial ones.
-        lap = laplacian_matrix(flat).toarray()
+        lap = laplacian_matrix(original).toarray()
         _, vecs = np.linalg.eigh(lap)
         directions.append(vecs[:, 1 : min(n, 1 + num_directions)])
     stacked = np.hstack(directions)
-    ratios = quadratic_form_ratio(flat, sparsifier_laplacian, stacked)
+    ratios = quadratic_form_ratio(original, sparsifier_laplacian, stacked)
     ratios = ratios[np.isfinite(ratios) & (ratios > 0)]
     if ratios.size == 0:
         raise EvaluationError("no testable directions (graph disconnected?)")

@@ -21,6 +21,7 @@ import numpy as np
 from repro import telemetry
 from repro.telemetry import environment, health, ledger
 from repro.errors import FactorizationError, NumericalHealthError
+from repro.graph.csr import CSRGraph
 from repro.utils.log import get_logger
 from repro.utils.rng import SeedLike, ensure_rng
 from repro.utils.timer import StageTimer
@@ -99,7 +100,7 @@ class PipelineContext:
     Attributes
     ----------
     graph:
-        The input graph (CSR or compressed).
+        The input graph.
     params:
         The method's frozen params dataclass.
     rng:
@@ -121,7 +122,7 @@ class PipelineContext:
         rather than this field.
     """
 
-    graph: Any
+    graph: CSRGraph
     params: Any
     rng: np.random.Generator
     timer: StageTimer
@@ -144,7 +145,7 @@ class PipelineSpec:
 
 
 def run_pipeline(
-    graph: Any,
+    graph: CSRGraph,
     spec: PipelineSpec,
     params: Any,
     seed: SeedLike = None,
@@ -167,6 +168,11 @@ def run_pipeline(
     the policy on, ``info["health"]`` / ``info["digests"]`` carry the
     recorder summary into the ledger record.
     """
+    if not isinstance(graph, CSRGraph):
+        raise TypeError(
+            f"{spec.name} expects a CSRGraph, got {type(graph).__name__}; "
+            "decode a compressed graph with .decompress() first"
+        )
     validate_dimension(graph.num_vertices, params.dimension)
     rng = ensure_rng(seed)
     timer = StageTimer()

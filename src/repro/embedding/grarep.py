@@ -12,7 +12,6 @@ style comparisons.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -24,12 +23,9 @@ from repro.embedding.base import (
 )
 from repro.embedding.netmf import DENSE_LIMIT
 from repro.errors import FactorizationError
-from repro.graph.compression import CompressedGraph
 from repro.graph.csr import CSRGraph
 from repro.linalg.randomized_svd import embedding_from_svd, randomized_svd
 from repro.utils.rng import SeedLike
-
-GraphLike = Union[CSRGraph, CompressedGraph]
 
 
 @dataclass(frozen=True)
@@ -59,8 +55,6 @@ def _grarep_body(ctx: PipelineContext):
         raise FactorizationError(
             f"GraRep materializes dense P^k; limited to {DENSE_LIMIT} vertices"
         )
-    if isinstance(graph, CompressedGraph):
-        graph = graph.decompress()
 
     per_step = params.dimension // params.steps
     remainder = params.dimension - per_step * params.steps
@@ -95,7 +89,7 @@ GRAREP_PIPELINE = PipelineSpec(name="grarep", body=_grarep_body)
 
 
 def grarep_embedding(
-    graph: GraphLike,
+    graph: CSRGraph,
     params: GraRepParams = GraRepParams(),
     seed: SeedLike = None,
 ) -> EmbeddingResult:

@@ -14,7 +14,7 @@ SVD signs; we return ``U Σ^{1/2}`` as elsewhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -26,13 +26,10 @@ from repro.embedding.base import (
     run_pipeline,
 )
 from repro.errors import FactorizationError
-from repro.graph.compression import CompressedGraph
 from repro.graph.csr import CSRGraph
 from repro.linalg.operators import polynomial_operator
 from repro.linalg.randomized_svd import embedding_from_svd, randomized_svd
 from repro.utils.rng import SeedLike
-
-GraphLike = Union[CSRGraph, CompressedGraph]
 
 
 @dataclass(frozen=True)
@@ -49,10 +46,8 @@ class HOPEParams:
     order: int = 10
 
 
-def katz_decay_rate(graph: GraphLike) -> float:
+def katz_decay_rate(graph: CSRGraph) -> float:
     """Largest adjacency eigenvalue ``λ_max`` (power iteration)."""
-    if isinstance(graph, CompressedGraph):
-        graph = graph.decompress()
     adjacency = graph.adjacency()
     n = graph.num_vertices
     if n == 0 or adjacency.nnz == 0:
@@ -78,8 +73,6 @@ def _hope_body(ctx: PipelineContext):
     n = graph.num_vertices
     if params.order < 1:
         raise FactorizationError(f"order must be >= 1, got {params.order}")
-    if isinstance(graph, CompressedGraph):
-        graph = graph.decompress()
 
     with ctx.timer.stage("svd"):
         lam = katz_decay_rate(graph)
@@ -107,7 +100,7 @@ HOPE_PIPELINE = PipelineSpec(name="hope", body=_hope_body)
 
 
 def hope_embedding(
-    graph: GraphLike,
+    graph: CSRGraph,
     params: HOPEParams = HOPEParams(),
     seed: SeedLike = None,
 ) -> EmbeddingResult:

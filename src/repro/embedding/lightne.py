@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import tempfile
 from dataclasses import dataclass, replace
-from typing import Optional, Union
+from typing import Optional
 
 from repro.embedding.base import (
     EmbeddingResult,
@@ -28,7 +28,6 @@ from repro.embedding.base import (
     PipelineSpec,
     run_pipeline,
 )
-from repro.graph.compression import CompressedGraph
 from repro.graph.csr import CSRGraph
 from repro.linalg.randomized_svd import embedding_from_svd
 from repro.linalg.single_pass import factorize
@@ -39,8 +38,6 @@ from repro.sparsifier.path_sampling import PathSamplingConfig
 from repro.telemetry import health
 from repro.utils.log import get_logger
 from repro.utils.rng import SeedLike
-
-GraphLike = Union[CSRGraph, CompressedGraph]
 
 logger = get_logger(__name__)
 
@@ -242,7 +239,7 @@ LIGHTNE_PIPELINE = PipelineSpec(name="lightne", body=_lightne_body)
 
 
 def lightne_embedding(
-    graph: GraphLike,
+    graph: CSRGraph,
     params: LightNEParams = LightNEParams(),
     seed: SeedLike = None,
 ) -> EmbeddingResult:
@@ -261,7 +258,7 @@ def lightne_embedding(
 
 
 def refresh_embedding(
-    graph: GraphLike,
+    graph: CSRGraph,
     previous: EmbeddingResult,
     params: LightNEParams = LightNEParams(),
     seed: SeedLike = None,

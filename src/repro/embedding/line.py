@@ -20,13 +20,10 @@ from repro.embedding.base import (
     PipelineSpec,
     run_pipeline,
 )
-from repro.graph.compression import CompressedGraph
 from repro.graph.csr import CSRGraph
 from repro.linalg.randomized_svd import embedding_from_svd, randomized_svd
 from repro.sparsifier.builder import trunc_log
 from repro.utils.rng import SeedLike
-
-GraphLike = Union[CSRGraph, CompressedGraph]
 
 
 @dataclass(frozen=True)
@@ -37,10 +34,8 @@ class LINEParams:
     negative_samples: float = 1.0
 
 
-def line_matrix(graph: GraphLike, negative_samples: float = 1.0) -> sp.csr_matrix:
+def line_matrix(graph: CSRGraph, negative_samples: float = 1.0) -> sp.csr_matrix:
     """``trunc_log( vol(G)/b · D⁻¹ A D⁻¹ )`` — Eq. (1) at ``T = 1``, sparse."""
-    if isinstance(graph, CompressedGraph):
-        graph = graph.decompress()
     degrees = graph.weighted_degrees()
     safe = np.where(degrees > 0, degrees, 1.0)
     inv_d = sp.diags(1.0 / safe)
@@ -63,7 +58,7 @@ LINE_PIPELINE = PipelineSpec(name="line", body=_line_body)
 
 
 def line_embedding(
-    graph: GraphLike,
+    graph: CSRGraph,
     params: Optional[Union[LINEParams, int]] = None,
     seed: SeedLike = None,
     *,

@@ -24,13 +24,10 @@ from repro.embedding.base import (
     run_pipeline,
 )
 from repro.errors import FactorizationError
-from repro.graph.compression import CompressedGraph
 from repro.graph.csr import CSRGraph
 from repro.linalg.randomized_svd import embedding_from_svd
 from repro.linalg.single_pass import factorize
 from repro.utils.rng import SeedLike
-
-GraphLike = Union[CSRGraph, CompressedGraph]
 
 DENSE_LIMIT = 20_000
 
@@ -64,7 +61,7 @@ class NetMFParams:
 
 
 def netmf_matrix_dense(
-    graph: GraphLike, window: int = 10, negative_samples: float = 1.0
+    graph: CSRGraph, window: int = 10, negative_samples: float = 1.0
 ) -> np.ndarray:
     """Materialize Eq. (1) densely (small graphs only).
 
@@ -85,8 +82,6 @@ def netmf_matrix_dense(
         raise FactorizationError(
             f"dense NetMF limited to {DENSE_LIMIT} vertices; use NetSMF/LightNE"
         )
-    if isinstance(graph, CompressedGraph):
-        graph = graph.decompress()
     adjacency = graph.adjacency().toarray()
     degrees = graph.weighted_degrees()
     safe = np.where(degrees > 0, degrees, 1.0)
@@ -101,7 +96,7 @@ def netmf_matrix_dense(
 
 
 def netmf_matrix_eigen(
-    graph: GraphLike,
+    graph: CSRGraph,
     window: int = 10,
     negative_samples: float = 1.0,
     *,
@@ -128,8 +123,6 @@ def netmf_matrix_eigen(
         raise FactorizationError(
             f"NetMF-large still materializes n x n; limited to {DENSE_LIMIT}"
         )
-    if isinstance(graph, CompressedGraph):
-        graph = graph.decompress()
     rank = min(rank, n - 1)
     if rank < 1:
         raise FactorizationError("graph too small for eigen approximation")
@@ -192,7 +185,7 @@ NETMF_EIGEN_PIPELINE = PipelineSpec(name="netmf-eigen", body=_netmf_body)
 
 
 def netmf_embedding(
-    graph: GraphLike,
+    graph: CSRGraph,
     params: Optional[Union[NetMFParams, int]] = None,
     *,
     window: Optional[int] = None,

@@ -10,7 +10,7 @@ downsampling, (b) the shared hash table, and (c) adding spectral propagation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 from repro.embedding.base import (
     EmbeddingResult,
@@ -18,7 +18,6 @@ from repro.embedding.base import (
     PipelineSpec,
     run_pipeline,
 )
-from repro.graph.compression import CompressedGraph
 from repro.graph.csr import CSRGraph
 from repro.linalg.randomized_svd import embedding_from_svd
 from repro.linalg.single_pass import factorize
@@ -27,8 +26,6 @@ from repro.sparsifier.builder import sparsifier_to_netmf_matrix
 from repro.sparsifier.path_sampling import PathSamplingConfig
 from repro.telemetry import health
 from repro.utils.rng import SeedLike
-
-GraphLike = Union[CSRGraph, CompressedGraph]
 
 
 @dataclass(frozen=True)
@@ -124,7 +121,7 @@ NETSMF_PIPELINE = PipelineSpec(name="netsmf", body=_netsmf_body)
 
 
 def netsmf_embedding(
-    graph: GraphLike,
+    graph: CSRGraph,
     params: NetSMFParams = NetSMFParams(),
     seed: SeedLike = None,
 ) -> EmbeddingResult:

@@ -16,7 +16,6 @@ tables per edge pair, and vectorizes well).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -28,11 +27,8 @@ from repro.embedding.base import (
 )
 from repro.embedding.deepwalk import DeepWalkSGDParams, _sgd_step, _walks_to_pairs
 from repro.errors import SamplingError
-from repro.graph.compression import CompressedGraph
 from repro.graph.csr import CSRGraph
 from repro.utils.rng import SeedLike, ensure_rng
-
-GraphLike = Union[CSRGraph, CompressedGraph]
 
 
 @dataclass(frozen=True)
@@ -52,7 +48,7 @@ class Node2VecParams:
 
 
 def biased_walks(
-    graph: GraphLike,
+    graph: CSRGraph,
     walk_length: int,
     walks_per_vertex: int,
     *,
@@ -78,8 +74,6 @@ def biased_walks(
         )
     if return_p <= 0 or in_out_q <= 0:
         raise SamplingError("p and q must be positive")
-    if isinstance(graph, CompressedGraph):
-        graph = graph.decompress()
     rng = ensure_rng(seed)
     n = graph.num_vertices
     degrees = graph.degrees()
@@ -180,7 +174,7 @@ NODE2VEC_PIPELINE = PipelineSpec(name="node2vec", body=_node2vec_body)
 
 
 def node2vec_embedding(
-    graph: GraphLike,
+    graph: CSRGraph,
     params: Node2VecParams = Node2VecParams(),
     seed: SeedLike = None,
 ) -> EmbeddingResult:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import tempfile
 from dataclasses import dataclass, replace
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -30,13 +30,10 @@ from repro.embedding.base import (
     run_pipeline,
 )
 from repro.errors import FactorizationError
-from repro.graph.compression import CompressedGraph
 from repro.graph.csr import CSRGraph
 from repro.linalg.randomized_svd import embedding_from_svd, randomized_svd
 from repro.linalg.spectral import spectral_propagation
 from repro.utils.rng import SeedLike
-
-GraphLike = Union[CSRGraph, CompressedGraph]
 
 
 @dataclass(frozen=True)
@@ -65,7 +62,7 @@ class ProNEParams:
 
 
 def prone_factorization_matrix(
-    graph: GraphLike, *, alpha: float = 0.75, negative_samples: float = 1.0
+    graph: CSRGraph, *, alpha: float = 0.75, negative_samples: float = 1.0
 ) -> sp.csr_matrix:
     """The sparse modulated matrix ProNE factorizes (``m`` non-zeros).
 
@@ -78,8 +75,6 @@ def prone_factorization_matrix(
         raise FactorizationError(
             f"negative_samples must be > 0, got {negative_samples}"
         )
-    if isinstance(graph, CompressedGraph):
-        graph = graph.decompress()
     adjacency = graph.adjacency()
     degrees = graph.weighted_degrees()
     safe = np.where(degrees > 0, degrees, 1.0)
@@ -142,7 +137,7 @@ PRONE_PIPELINE = PipelineSpec(name="prone", body=_prone_body)
 
 
 def prone_embedding(
-    graph: GraphLike,
+    graph: CSRGraph,
     params: ProNEParams = ProNEParams(),
     seed: SeedLike = None,
     *,

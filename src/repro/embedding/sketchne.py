@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import tempfile
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 from repro.embedding.base import (
     EmbeddingResult,
@@ -30,7 +30,6 @@ from repro.embedding.base import (
     PipelineSpec,
     run_pipeline,
 )
-from repro.graph.compression import CompressedGraph
 from repro.graph.csr import CSRGraph
 from repro.linalg.randomized_svd import embedding_from_svd
 from repro.linalg.single_pass import factorize
@@ -42,8 +41,6 @@ from repro.sparsifier.path_sampling import PathSamplingConfig
 from repro.telemetry import health
 from repro.utils.log import get_logger
 from repro.utils.rng import SeedLike
-
-GraphLike = Union[CSRGraph, CompressedGraph]
 
 logger = get_logger(__name__)
 
@@ -171,7 +168,7 @@ SKETCHNE_PIPELINE = PipelineSpec(name="sketchne", body=_sketchne_body)
 
 
 def sketchne_embedding(
-    graph: GraphLike,
+    graph: CSRGraph,
     params: SketchNEParams = SketchNEParams(),
     seed: SeedLike = None,
 ) -> EmbeddingResult:

@@ -1,8 +1,9 @@
 """Graph substrate: CSR storage, Ligra+-style compression, builders and walks.
 
 This subpackage is the Python reproduction of the paper's GBBS/Ligra+ layer
-(Section 4.1): a compressed sparse-row graph, parallel-byte
-difference-encoded adjacency lists, and a vectorized random-walk engine.
+(Section 4.1): a compressed sparse-row graph (the one graph type the library
+accepts), a parallel-byte difference-encoding codec for adjacency lists, and
+a vectorized random-walk engine.
 """
 
 from repro.graph.csr import CSRGraph

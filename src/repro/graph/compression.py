@@ -14,13 +14,16 @@ decoded independently (in parallel in the C++ original), and fetching the
 This module implements:
 
 * :func:`encode_neighbors` / :func:`decode_neighbors` — single-vertex codec;
-* :class:`CompressedGraph` — whole-graph container exposing the same accessor
-  surface as :class:`~repro.graph.csr.CSRGraph` (``degrees``, ``neighbors``,
-  ``ith_neighbor``, ``ith_neighbors``) so random walks run on either;
+* :class:`CompressedGraph` — the whole-graph encoding, with the per-vertex
+  reference decoder ``neighbors(u)`` and the block-decode point lookup
+  ``ith_neighbor(u, i)`` that the block-size study (E11) times;
 * :func:`compress_graph` / :meth:`CompressedGraph.decompress` round trip.
 
-Weighted graphs store weights uncompressed alongside (the paper's inputs are
-unweighted; weights only appear in the sparsifier, which is a hash table).
+The codec is a size study, not a second graph type: every library function
+takes a :class:`~repro.graph.csr.CSRGraph`, so a compressed graph is decoded
+with :meth:`CompressedGraph.decompress` before use.  Weighted graphs store
+weights uncompressed alongside (the paper's inputs are unweighted; weights
+only appear in the sparsifier, which is a hash table).
 """
 
 from __future__ import annotations
@@ -161,8 +164,6 @@ class CompressedGraph:
         "degrees_array",
         "block_size",
         "weights",
-        "_volume",
-        "_op_cache",
     )
 
     def __init__(
@@ -182,41 +183,11 @@ class CompressedGraph:
         self.degrees_array = degrees_array
         self.block_size = block_size
         self.weights = weights
-        self._volume: Optional[float] = None
-        # Derived-operator memo (propagation operator keyed by dtype); also
-        # saves repeated decompression for propagation-heavy callers.
-        self._op_cache: Optional[dict] = None
 
-    # ------------------------------------------------------------ size facts
     @property
     def num_vertices(self) -> int:
         """Number of vertices."""
         return self.degrees_array.size
-
-    @property
-    def num_directed_edges(self) -> int:
-        """Stored directed edge count (``2m``)."""
-        return int(self.degrees_array.sum())
-
-    @property
-    def num_edges(self) -> int:
-        """Undirected edge count ``m``."""
-        return self.num_directed_edges // 2
-
-    @property
-    def is_weighted(self) -> bool:
-        """True when per-edge weights are stored (uncompressed)."""
-        return self.weights is not None
-
-    @property
-    def volume(self) -> float:
-        """``vol(G)`` — matches :attr:`CSRGraph.volume`."""
-        if self._volume is None:
-            if self.weights is None:
-                self._volume = float(self.num_directed_edges)
-            else:
-                self._volume = float(self.weights.sum())
-        return self._volume
 
     def size_in_bytes(self) -> int:
         """Total bytes of the compressed structure (payload + offsets)."""
@@ -227,37 +198,8 @@ class CompressedGraph:
             total += self.weights.nbytes
         return total
 
-    # -------------------------------------------------------------- accessors
-    def degrees(self) -> np.ndarray:
-        """Per-vertex degrees (stored uncompressed for O(1) access)."""
-        return self.degrees_array
-
-    def degree(self, u: int) -> int:
-        """Degree of one vertex."""
-        return int(self.degrees_array[u])
-
-    def weighted_degrees(self) -> np.ndarray:
-        """Weighted degrees; equals :meth:`degrees` when unweighted."""
-        if self.weights is None:
-            return self.degrees_array.astype(np.float64)
-        starts = np.zeros(self.num_vertices, dtype=np.int64)
-        np.cumsum(self.degrees_array[:-1], out=starts[1:])
-        if self.weights.size == 0:
-            return np.zeros(self.num_vertices, dtype=np.float64)
-        clipped = np.minimum(starts, self.weights.size - 1)
-        sums = np.add.reduceat(self.weights, clipped)
-        sums[self.degrees_array == 0] = 0.0
-        return sums
-
-    def neighbor_weights(self, u: int) -> Optional[np.ndarray]:
-        """View of ``u``'s edge weights (stored uncompressed), or ``None``."""
-        if self.weights is None:
-            return None
-        start = int(self.degrees_array[:u].sum())
-        return self.weights[start : start + int(self.degrees_array[u])]
-
     def neighbors(self, u: int) -> np.ndarray:
-        """Decode and return ``u``'s full neighbor list."""
+        """Decode ``u``'s full neighbor list (the per-vertex reference path)."""
         degree = int(self.degrees_array[u])
         if degree == 0:
             return np.empty(0, dtype=np.int64)
@@ -288,36 +230,20 @@ class CompressedGraph:
             current += gap + 1
         return current
 
-    def ith_neighbors(self, vertices: np.ndarray, indices: np.ndarray) -> np.ndarray:
-        """Vectorized point lookups (loop per element; decoding is scalar)."""
-        out = np.empty(len(vertices), dtype=np.int64)
-        for k in range(len(vertices)):
-            out[k] = self.ith_neighbor(int(vertices[k]), int(indices[k]))
-        return out
-
-    # ------------------------------------------------------------- conversion
-    def decompress(self, *, vectorized: bool = True) -> CSRGraph:
+    def decompress(self) -> CSRGraph:
         """Rebuild the uncompressed :class:`CSRGraph`.
 
-        ``vectorized=True`` (default) decodes every varint in the payload in
-        bulk numpy passes — the fast path used throughout the library;
-        ``vectorized=False`` decodes vertex by vertex (the reference path the
-        property tests compare against).
+        Decodes every varint in the payload in bulk numpy passes;
+        :meth:`neighbors` is the per-vertex reference it is tested against.
         """
-        n = self.num_vertices
-        offsets = np.zeros(n + 1, dtype=np.int64)
+        offsets = np.zeros(self.num_vertices + 1, dtype=np.int64)
         np.cumsum(self.degrees_array, out=offsets[1:])
-        if vectorized and offsets[-1] > 0:
-            targets = _bulk_decode(self)
-        else:
-            targets = np.empty(offsets[-1], dtype=np.int64)
-            for u in range(n):
-                targets[offsets[u] : offsets[u + 1]] = self.neighbors(u)
-        return CSRGraph(offsets, targets, self.weights)
+        return CSRGraph(offsets, _bulk_decode(self), self.weights)
 
     def __repr__(self) -> str:
         return (
-            f"CompressedGraph(n={self.num_vertices}, m={self.num_edges}, "
+            f"CompressedGraph(n={self.num_vertices}, "
+            f"m={int(self.degrees_array.sum()) // 2}, "
             f"block_size={self.block_size}, bytes={self.size_in_bytes()})"
         )
 
@@ -379,28 +305,31 @@ def compress_graph(
     """Compress ``graph`` into the parallel-byte format.
 
     Neighbor lists must be strictly increasing (guaranteed by the builders).
+    Only non-empty vertices are encoded; the per-vertex payload offsets and
+    block index are cumulative sums of the byte and block counts.
     """
     if block_size <= 0:
         raise CompressionError(f"block_size must be positive, got {block_size}")
     n = graph.num_vertices
     degrees = graph.degrees().astype(np.int64)
-    payload = bytearray()
-    vertex_offsets = np.zeros(n, dtype=np.int64)
-    block_index = np.zeros(n + 1, dtype=np.int64)
+    nonempty = np.flatnonzero(degrees)
+    chunks: List[bytes] = []
     all_blocks: List[np.ndarray] = []
-    for u in range(n):
-        vertex_offsets[u] = len(payload)
-        encoded, blocks = encode_neighbors(u, graph.neighbors(u), block_size)
-        payload.extend(encoded)
+    byte_counts = np.zeros(n, dtype=np.int64)
+    for u in nonempty:
+        encoded, blocks = encode_neighbors(int(u), graph.neighbors(u), block_size)
+        chunks.append(encoded)
         all_blocks.append(blocks)
-        block_index[u + 1] = block_index[u] + blocks.size
+        byte_counts[u] = len(encoded)
+    vertex_offsets = np.zeros(n, dtype=np.int64)
+    np.cumsum(byte_counts[:-1], out=vertex_offsets[1:])
+    block_index = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(-(-degrees // block_size), out=block_index[1:])
     flat_blocks = (
-        np.concatenate(all_blocks)
-        if all_blocks and block_index[-1] > 0
-        else np.empty(0, dtype=np.int64)
+        np.concatenate(all_blocks) if all_blocks else np.empty(0, dtype=np.int64)
     )
     return CompressedGraph(
-        payload=np.frombuffer(bytes(payload), dtype=np.uint8),
+        payload=np.frombuffer(b"".join(chunks), dtype=np.uint8),
         vertex_offsets=vertex_offsets,
         block_offsets=flat_blocks,
         block_index=block_index,

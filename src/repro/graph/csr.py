@@ -136,13 +136,15 @@ class CSRGraph:
         unweighted)."""
         if self.weights is None:
             return self.degrees().astype(np.float64)
-        if self.weights.size == 0:
-            return np.zeros(self.num_vertices, dtype=np.float64)
-        # reduceat misreads empty segments; clip indices then zero them out.
-        starts = np.minimum(self.offsets[:-1], self.weights.size - 1)
-        sums = np.add.reduceat(self.weights, starts)
-        sums[self.degrees() == 0] = 0.0
-        return sums.astype(np.float64, copy=False)
+        # reduceat misreads empty segments, so reduce over the non-empty
+        # rows only: each one's segment then runs to the next one's start.
+        sums = np.zeros(self.num_vertices, dtype=np.float64)
+        nonempty = self.degrees() > 0
+        if nonempty.any():
+            sums[nonempty] = np.add.reduceat(
+                self.weights, self.offsets[:-1][nonempty]
+            )
+        return sums
 
     def degree(self, u: int) -> int:
         """Degree of a single vertex."""

@@ -17,27 +17,20 @@ whole-graph embedding (see ``examples/partition_vs_whole.py``):
 
 from __future__ import annotations
 
-from typing import Callable, List, Tuple, Union
+from typing import Callable, List
 
 import numpy as np
 
 from repro.embedding.base import EmbeddingResult
 from repro.errors import GraphConstructionError
-from repro.graph.compression import CompressedGraph
 from repro.graph.csr import CSRGraph
 from repro.graph.transforms import induced_subgraph
 from repro.utils.rng import SeedLike, ensure_rng
 from repro.utils.timer import StageTimer
 
-GraphLike = Union[CSRGraph, CompressedGraph]
-
-
-def _flat(graph: GraphLike) -> CSRGraph:
-    return graph.decompress() if isinstance(graph, CompressedGraph) else graph
-
 
 def bfs_partition(
-    graph: GraphLike, num_parts: int, seed: SeedLike = None
+    graph: CSRGraph, num_parts: int, seed: SeedLike = None
 ) -> np.ndarray:
     """Assign every vertex to one of ``num_parts`` BFS-grown parts.
 
@@ -46,8 +39,7 @@ def bfs_partition(
     vertices are scattered round-robin.  Parts end up within ±1 of the
     target size — the balance constraint real partitioners enforce.
     """
-    flat = _flat(graph)
-    n = flat.num_vertices
+    n = graph.num_vertices
     if num_parts < 1:
         raise GraphConstructionError(f"num_parts must be >= 1, got {num_parts}")
     if num_parts > n:
@@ -82,7 +74,7 @@ def bfs_partition(
             grew = False
             while frontiers[part] and not grew:
                 vertex = frontiers[part][0]
-                for neighbor in flat.neighbors(vertex):
+                for neighbor in graph.neighbors(vertex):
                     neighbor = int(neighbor)
                     if assignment[neighbor] == -1:
                         assignment[neighbor] = part
@@ -103,13 +95,12 @@ def bfs_partition(
     return assignment
 
 
-def partition_edge_cut(graph: GraphLike, assignment: np.ndarray) -> float:
+def partition_edge_cut(graph: CSRGraph, assignment: np.ndarray) -> float:
     """Fraction of undirected edges whose endpoints land in different parts."""
-    flat = _flat(graph)
     assignment = np.asarray(assignment, dtype=np.int64)
-    if assignment.shape != (flat.num_vertices,):
+    if assignment.shape != (graph.num_vertices,):
         raise GraphConstructionError("assignment must have one entry per vertex")
-    src, dst = flat.edge_endpoints()
+    src, dst = graph.edge_endpoints()
     mask = src < dst
     if not mask.any():
         return 0.0
@@ -117,7 +108,7 @@ def partition_edge_cut(graph: GraphLike, assignment: np.ndarray) -> float:
 
 
 def embed_partitioned(
-    graph: GraphLike,
+    graph: CSRGraph,
     assignment: np.ndarray,
     embedder: Callable[[CSRGraph, SeedLike], EmbeddingResult],
     *,
@@ -141,19 +132,18 @@ def embed_partitioned(
     vertex ids.  Cross-partition edges never reach any embedder — that
     information loss is the point being measured.
     """
-    flat = _flat(graph)
     assignment = np.asarray(assignment, dtype=np.int64)
-    if assignment.shape != (flat.num_vertices,):
+    if assignment.shape != (graph.num_vertices,):
         raise GraphConstructionError("assignment must have one entry per vertex")
     rng = ensure_rng(seed)
     timer = StageTimer()
-    vectors = np.zeros((flat.num_vertices, dimension))
+    vectors = np.zeros((graph.num_vertices, dimension))
     parts = np.unique(assignment)
-    cut = partition_edge_cut(flat, assignment)
+    cut = partition_edge_cut(graph, assignment)
     with timer.stage("partitioned-embedding"):
         for part in parts:
             members = np.flatnonzero(assignment == part)
-            subgraph, kept = induced_subgraph(flat, members)
+            subgraph, kept = induced_subgraph(graph, members)
             if subgraph.num_edges == 0:
                 continue  # all-isolated part: vectors stay zero
             result = embedder(subgraph, rng)

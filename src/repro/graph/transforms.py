@@ -11,29 +11,21 @@ scaled experiments.
 
 from __future__ import annotations
 
-from typing import Tuple, Union
+from typing import Tuple
 
 import numpy as np
 
 from repro.errors import GraphConstructionError
 from repro.graph.builders import from_edges
-from repro.graph.compression import CompressedGraph
 from repro.graph.csr import CSRGraph
 
-GraphLike = Union[CSRGraph, CompressedGraph]
 
-
-def _flat(graph: GraphLike) -> CSRGraph:
-    return graph.decompress() if isinstance(graph, CompressedGraph) else graph
-
-
-def permute_vertices(graph: GraphLike, permutation: np.ndarray) -> CSRGraph:
+def permute_vertices(graph: CSRGraph, permutation: np.ndarray) -> CSRGraph:
     """Relabel vertices: new id of old vertex ``u`` is ``permutation[u]``.
 
     ``permutation`` must be a bijection on ``range(n)``.
     """
-    flat = _flat(graph)
-    n = flat.num_vertices
+    n = graph.num_vertices
     permutation = np.asarray(permutation, dtype=np.int64)
     if permutation.shape != (n,):
         raise GraphConstructionError(
@@ -41,9 +33,9 @@ def permute_vertices(graph: GraphLike, permutation: np.ndarray) -> CSRGraph:
         )
     if not np.array_equal(np.sort(permutation), np.arange(n)):
         raise GraphConstructionError("permutation is not a bijection on range(n)")
-    src, dst = flat.edge_endpoints()
+    src, dst = graph.edge_endpoints()
     mask = src < dst
-    wts = flat.weights[mask] if flat.weights is not None else None
+    wts = graph.weights[mask] if graph.weights is not None else None
     return from_edges(
         permutation[src[mask]],
         permutation[dst[mask]],
@@ -53,7 +45,7 @@ def permute_vertices(graph: GraphLike, permutation: np.ndarray) -> CSRGraph:
     )
 
 
-def reorder_by_degree(graph: GraphLike, *, descending: bool = True) -> Tuple[CSRGraph, np.ndarray]:
+def reorder_by_degree(graph: CSRGraph, *, descending: bool = True) -> Tuple[CSRGraph, np.ndarray]:
     """Relabel vertices by degree (hubs first by default).
 
     Returns ``(relabeled_graph, permutation)`` with
@@ -61,30 +53,28 @@ def reorder_by_degree(graph: GraphLike, *, descending: bool = True) -> Tuple[CSR
     parallel-byte compressed size because high-degree vertices land on small
     ids and gap codes get shorter.
     """
-    flat = _flat(graph)
-    degrees = flat.degrees()
-    order = np.lexsort((np.arange(flat.num_vertices), -degrees if descending else degrees))
-    permutation = np.empty(flat.num_vertices, dtype=np.int64)
-    permutation[order] = np.arange(flat.num_vertices)
-    return permute_vertices(flat, permutation), permutation
+    degrees = graph.degrees()
+    order = np.lexsort((np.arange(graph.num_vertices), -degrees if descending else degrees))
+    permutation = np.empty(graph.num_vertices, dtype=np.int64)
+    permutation[order] = np.arange(graph.num_vertices)
+    return permute_vertices(graph, permutation), permutation
 
 
-def induced_subgraph(graph: GraphLike, vertices) -> Tuple[CSRGraph, np.ndarray]:
+def induced_subgraph(graph: CSRGraph, vertices) -> Tuple[CSRGraph, np.ndarray]:
     """Subgraph induced by ``vertices`` (relabeled to ``0..k-1``).
 
     Returns ``(subgraph, kept)`` where ``kept[i]`` is the original id of new
     vertex ``i`` (sorted ascending).
     """
-    flat = _flat(graph)
-    n = flat.num_vertices
+    n = graph.num_vertices
     kept = np.unique(np.asarray(vertices, dtype=np.int64))
     if kept.size and (kept[0] < 0 or kept[-1] >= n):
         raise GraphConstructionError("vertices contain out-of-range ids")
     remap = -np.ones(n, dtype=np.int64)
     remap[kept] = np.arange(kept.size)
-    src, dst = flat.edge_endpoints()
+    src, dst = graph.edge_endpoints()
     mask = (src < dst) & (remap[src] >= 0) & (remap[dst] >= 0)
-    wts = flat.weights[mask] if flat.weights is not None else None
+    wts = graph.weights[mask] if graph.weights is not None else None
     sub = from_edges(
         remap[src[mask]],
         remap[dst[mask]],
@@ -95,21 +85,20 @@ def induced_subgraph(graph: GraphLike, vertices) -> Tuple[CSRGraph, np.ndarray]:
     return sub, kept
 
 
-def add_edges(graph: GraphLike, new_sources, new_targets, new_weights=None) -> CSRGraph:
+def add_edges(graph: CSRGraph, new_sources, new_targets, new_weights=None) -> CSRGraph:
     """Return a new graph with extra edges merged in (duplicates collapse).
 
     The building block of the streaming/dynamic extension (paper §6 future
     work): batch edge arrivals, then re-embed.
     """
-    flat = _flat(graph)
-    src, dst = flat.edge_endpoints()
+    src, dst = graph.edge_endpoints()
     mask = src < dst
     src, dst = src[mask], dst[mask]
-    old_w = flat.weights[mask] if flat.weights is not None else None
+    old_w = graph.weights[mask] if graph.weights is not None else None
     new_sources = np.asarray(new_sources, dtype=np.int64)
     new_targets = np.asarray(new_targets, dtype=np.int64)
     n = max(
-        flat.num_vertices,
+        graph.num_vertices,
         int(new_sources.max(initial=-1)) + 1,
         int(new_targets.max(initial=-1)) + 1,
     )
@@ -127,17 +116,16 @@ def add_edges(graph: GraphLike, new_sources, new_targets, new_weights=None) -> C
     return from_edges(all_src, all_dst, weights, num_vertices=n, symmetrize=True)
 
 
-def remove_edges(graph: GraphLike, del_sources, del_targets) -> CSRGraph:
+def remove_edges(graph: CSRGraph, del_sources, del_targets) -> CSRGraph:
     """Return a new graph with the listed undirected edges removed.
 
     Edges absent from the graph are ignored (idempotent deletion).
     """
-    flat = _flat(graph)
-    n = flat.num_vertices
-    src, dst = flat.edge_endpoints()
+    n = graph.num_vertices
+    src, dst = graph.edge_endpoints()
     mask = src < dst
     src, dst = src[mask], dst[mask]
-    wts = flat.weights[mask] if flat.weights is not None else None
+    wts = graph.weights[mask] if graph.weights is not None else None
     del_sources = np.asarray(del_sources, dtype=np.int64)
     del_targets = np.asarray(del_targets, dtype=np.int64)
     lo = np.minimum(del_sources, del_targets)

@@ -1,4 +1,4 @@
-"""Vectorized random walks on CSR (and compressed) graphs.
+"""Vectorized random walks on CSR graphs.
 
 The paper simulates walks "one step at a time by first sampling a uniformly
 random 32-bit value, and computing this value modulo the vertex degree"
@@ -13,20 +13,15 @@ fast path is pure integer indexing.
 
 from __future__ import annotations
 
-from typing import Union
-
 import numpy as np
 
 from repro.errors import SamplingError
-from repro.graph.compression import CompressedGraph
 from repro.graph.csr import CSRGraph
 from repro.utils.rng import SeedLike, ensure_rng
 
-GraphLike = Union[CSRGraph, CompressedGraph]
-
 
 def step_random_walk(
-    graph: GraphLike,
+    graph: CSRGraph,
     positions: np.ndarray,
     steps: np.ndarray,
     seed: SeedLike = None,
@@ -42,7 +37,7 @@ def step_random_walk(
     Parameters
     ----------
     graph:
-        CSR or compressed graph.
+        The graph to walk on.
     positions:
         Start vertices, modified copies returned (input untouched).
     steps:
@@ -70,7 +65,7 @@ def step_random_walk(
     if steps.size and steps.min() < 0:
         raise SamplingError("steps must be non-negative")
     degrees = graph.degrees()
-    weighted = getattr(graph, "weights", None) is not None
+    weighted = graph.weights is not None
     max_steps = int(steps.max()) if steps.size else 0
     remaining = steps.copy()
     for _ in range(max_steps):
@@ -96,7 +91,7 @@ def step_random_walk(
 
 
 def _sorted_gather_step(
-    graph: GraphLike,
+    graph: CSRGraph,
     current: np.ndarray,
     degrees: np.ndarray,
     rng: np.random.Generator,
@@ -118,23 +113,18 @@ def _sorted_gather_step(
 
 
 def _weighted_step(
-    graph: GraphLike, current: np.ndarray, rng: np.random.Generator
+    graph: CSRGraph, current: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
     """One weighted step per walker (scalar loop; weighted inputs are small)."""
     out = np.empty(current.size, dtype=np.int64)
     for k, u in enumerate(current):
-        nbrs = graph.neighbors(int(u))
         wts = graph.neighbor_weights(int(u))
-        if wts is None:
-            out[k] = nbrs[rng.integers(nbrs.size)]
-        else:
-            probs = wts / wts.sum()
-            out[k] = rng.choice(nbrs, p=probs)
+        out[k] = rng.choice(graph.neighbors(int(u)), p=wts / wts.sum())
     return out
 
 
 def random_walk_matrix_sample(
-    graph: GraphLike,
+    graph: CSRGraph,
     walk_length: int,
     walks_per_vertex: int,
     seed: SeedLike = None,

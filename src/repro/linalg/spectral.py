@@ -22,8 +22,7 @@ Bessel coefficients are precomputed as one vector, the recurrence ping-pongs
 a fixed set of ``lx0``/``lx1``/``lx2`` buffers with in-place axpy updates
 (no per-term temporaries), and the row-normalized propagation operator
 ``D⁻¹(A + I)`` is cached on the graph object keyed by dtype so repeated
-propagation calls — and :class:`~repro.graph.compression.CompressedGraph`
-inputs — neither rebuild nor re-decompress it.  ``precision="single"`` runs
+propagation calls do not rebuild it.  ``precision="single"`` runs
 the whole filter in float32; the default double filter is bit-identical to
 the historical implementation.
 """
@@ -41,7 +40,6 @@ from scipy.special import iv
 
 from repro import telemetry
 from repro.errors import FactorizationError
-from repro.graph.compression import CompressedGraph
 from repro.graph.csr import CSRGraph
 from repro.linalg.kernels import (
     SPMM_WORKSPACE_BYTES,
@@ -124,10 +122,8 @@ def _release_pages(array: Optional[np.ndarray]) -> None:
         pass
 
 
-def _row_normalized_adjacency(graph) -> sp.csr_matrix:
+def _row_normalized_adjacency(graph: CSRGraph) -> sp.csr_matrix:
     """``D⁻¹(A + I)`` — ProNE adds the identity before normalizing."""
-    if isinstance(graph, CompressedGraph):
-        graph = graph.decompress()
     n = graph.num_vertices
     adjacency = (graph.adjacency() + sp.eye(n, format="csr")).tocsr()
     degrees = np.asarray(adjacency.sum(axis=1)).ravel()
@@ -135,38 +131,26 @@ def _row_normalized_adjacency(graph) -> sp.csr_matrix:
     return (sp.diags(inv) @ adjacency).tocsr()
 
 
-def propagation_operator(graph, dtype=np.float64) -> sp.csr_matrix:
+def propagation_operator(graph: CSRGraph, dtype=np.float64) -> sp.csr_matrix:
     """The cached row-normalized propagation operator ``D⁻¹(A + I)``.
 
-    The float64 operator is built once per graph and memoized on the graph
-    object (``CSRGraph`` and ``CompressedGraph`` both reserve a cache slot);
-    other dtypes are cast from the cached float64 build and memoized under
-    their own key.  For compressed graphs this also means the decompression
-    happens at most once across all propagation calls.  Callers must not
+    The float64 operator is built once per graph and memoized in the
+    graph's ``_op_cache`` slot; other dtypes are cast from the cached
+    float64 build and memoized under their own key.  Callers must not
     mutate the returned matrix.
     """
     dtype = np.dtype(dtype)
-    cache = getattr(graph, "_op_cache", None)
-    if cache is None:
-        cache = {}
-        try:
-            graph._op_cache = cache
-        except AttributeError:  # foreign graph-likes without the cache slot
-            cache = None
+    if graph._op_cache is None:
+        graph._op_cache = {}
+    cache = graph._op_cache
     key = ("row_normalized", dtype.str)
-    if cache is not None and key in cache:
-        return cache[key]
-    base_key = ("row_normalized", np.dtype(np.float64).str)
-    if cache is not None and base_key in cache:
+    if key not in cache:
+        base_key = ("row_normalized", np.dtype(np.float64).str)
+        if base_key not in cache:
+            cache[base_key] = _row_normalized_adjacency(graph)
         base = cache[base_key]
-    else:
-        base = _row_normalized_adjacency(graph)
-        if cache is not None:
-            cache[base_key] = base
-    operator = base if dtype == np.float64 else base.astype(dtype)
-    if cache is not None:
-        cache[key] = operator
-    return operator
+        cache[key] = base if dtype == np.float64 else base.astype(dtype)
+    return cache[key]
 
 
 def _modulated_operator(da: sp.csr_matrix, mu: float) -> sp.csr_matrix:

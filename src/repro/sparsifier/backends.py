@@ -39,14 +39,13 @@ from __future__ import annotations
 
 import abc
 import time
-from typing import ClassVar, Dict, Optional, Union
+from typing import ClassVar, Dict, Optional
 
 import scipy.sparse as sp
 
 from repro import telemetry
 from repro.errors import SamplingError
 from repro.telemetry import health
-from repro.graph.compression import CompressedGraph
 from repro.graph.csr import CSRGraph
 from repro.sparsifier.builder import (
     SparsifierResult,
@@ -59,8 +58,6 @@ from repro.sparsifier.ppr import sample_ppr_counts
 from repro.utils.parallel import default_workers, resolve_backend
 from repro.utils.rng import SeedLike, ensure_rng
 from repro.utils.timer import StageTimer
-
-GraphLike = Union[CSRGraph, CompressedGraph]
 
 # Stats keys promoted to StageTimer counters — the ledger/regression-gate
 # contract shared by every backend (mirrors build_netmf_sparsifier).
@@ -78,7 +75,7 @@ class SparsifierBackend(abc.ABC):
     @abc.abstractmethod
     def build(
         self,
-        graph: GraphLike,
+        graph: CSRGraph,
         config: PathSamplingConfig,
         seed: SeedLike = None,
         *,
@@ -103,7 +100,7 @@ class PathSamplingBackend(SparsifierBackend):
 
     def build(
         self,
-        graph: GraphLike,
+        graph: CSRGraph,
         config: PathSamplingConfig,
         seed: SeedLike = None,
         *,
@@ -137,7 +134,7 @@ class PPRBackend(SparsifierBackend):
 
     def build(
         self,
-        graph: GraphLike,
+        graph: CSRGraph,
         config: PathSamplingConfig,
         seed: SeedLike = None,
         *,
@@ -216,7 +213,7 @@ def get_sparsifier_backend(name: str) -> SparsifierBackend:
 
 
 def build_sparsifier(
-    graph: GraphLike,
+    graph: CSRGraph,
     config: PathSamplingConfig,
     seed: SeedLike = None,
     *,

@@ -45,14 +45,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Union
+from typing import Dict, Optional
 
 import numpy as np
 import scipy.sparse as sp
 
 from repro import telemetry
 from repro.errors import SamplingError, UnsupportedGraphError
-from repro.graph.compression import CompressedGraph
 from repro.graph.csr import CSRGraph
 from repro.sparsifier.aggregation import (
     aggregate_hash,
@@ -63,8 +62,6 @@ from repro.sparsifier.path_sampling import PathSamplingConfig, sample_sparsifier
 from repro.utils.parallel import default_workers, resolve_backend
 from repro.utils.rng import SeedLike, ensure_rng
 from repro.utils.timer import StageTimer
-
-GraphLike = Union[CSRGraph, CompressedGraph]
 
 
 @dataclass
@@ -114,7 +111,7 @@ def trunc_log(matrix: sp.spmatrix) -> sp.csr_matrix:
     return result
 
 
-def validate_sparsifier_graph(graph: GraphLike) -> bool:
+def validate_sparsifier_graph(graph: CSRGraph) -> bool:
     """Check ``graph`` is servable by a sparsifier backend.
 
     Returns ``True`` when the graph is weighted (backends then use
@@ -123,10 +120,9 @@ def validate_sparsifier_graph(graph: GraphLike) -> bool:
     :class:`~repro.errors.UnsupportedGraphError` — see the module docstring:
     the estimator's seeding and downsampling laws degenerate there.
     """
-    flat = graph.decompress() if isinstance(graph, CompressedGraph) else graph
-    if flat.weights is None:
+    if graph.weights is None:
         return False
-    if flat.weights.size and float(flat.weights.min()) <= 0.0:
+    if graph.weights.size and float(graph.weights.min()) <= 0.0:
         raise UnsupportedGraphError(
             "sparsifier backends require strictly positive edge weights on "
             "weighted graphs (zero-weight edges cannot be seeded and break "
@@ -174,7 +170,7 @@ def aggregate_sample_counts(
 
 
 def build_netmf_sparsifier(
-    graph: GraphLike,
+    graph: CSRGraph,
     config: PathSamplingConfig,
     seed: SeedLike = None,
     *,
@@ -189,7 +185,7 @@ def build_netmf_sparsifier(
     Parameters
     ----------
     graph:
-        Input graph (CSR or compressed).
+        Input graph.
     config:
         Sampling parameters (window ``T``, sample budget ``M``, downsampling).
     aggregator:
@@ -260,7 +256,7 @@ def build_netmf_sparsifier(
 
 
 def sparsifier_to_netmf_matrix(
-    graph: GraphLike,
+    graph: CSRGraph,
     result: SparsifierResult,
     *,
     negative_samples: float = 1.0,

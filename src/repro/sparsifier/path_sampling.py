@@ -19,20 +19,17 @@ grouped by walk length ``r``, and the two walks are advanced in lock-step.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from repro import telemetry
 from repro.errors import SamplingError
-from repro.graph.compression import CompressedGraph
 from repro.graph.csr import CSRGraph
 from repro.graph.walks import step_random_walk
 from repro.sparsifier.downsampling import downsampling_probabilities
 from repro.utils.parallel import default_workers, parallel_map, resolve_backend
 from repro.utils.rng import SeedLike, ensure_rng, spawn_batch_rngs
-
-GraphLike = Union[CSRGraph, CompressedGraph]
 
 
 @dataclass(frozen=True)
@@ -68,13 +65,13 @@ class PathSamplingConfig:
             )
 
     @staticmethod
-    def samples_for_multiplier(graph: GraphLike, window: int, multiplier: float) -> int:
+    def samples_for_multiplier(graph: CSRGraph, window: int, multiplier: float) -> int:
         """``M = multiplier · T · m`` — the paper's M=0.1Tm … 20Tm notation."""
         return int(round(multiplier * window * graph.num_edges))
 
 
 def path_sample_pairs(
-    graph: GraphLike,
+    graph: CSRGraph,
     seed_u: np.ndarray,
     seed_v: np.ndarray,
     lengths: np.ndarray,
@@ -160,7 +157,7 @@ def _walk_batch(
 
 
 def sample_sparsifier_edges(
-    graph: GraphLike,
+    graph: CSRGraph,
     config: PathSamplingConfig,
     seed: SeedLike = None,
     *,
@@ -208,21 +205,17 @@ def sample_sparsifier_edges(
         workers = default_workers()
     if batch_size < 1:
         raise SamplingError(f"batch_size must be >= 1, got {batch_size}")
-    if isinstance(graph, CompressedGraph):
-        flat = graph.decompress()
-    else:
-        flat = graph
-    if flat.num_edges == 0:
+    if graph.num_edges == 0:
         raise SamplingError("cannot sample from an empty graph")
     if config.num_samples <= 0:
         raise SamplingError("config.num_samples must be set (> 0)")
 
-    src, dst = flat.edge_endpoints()
+    src, dst = graph.edge_endpoints()
     mask = src < dst
     src, dst = src[mask], dst[mask]
-    edge_w = flat.weights[mask] if flat.weights is not None else None
+    edge_w = graph.weights[mask] if graph.weights is not None else None
     # ``m`` is the number of *seedable* (non-loop) undirected edges.  It can
-    # be smaller than ``flat.num_edges`` when the graph carries self-loops —
+    # be smaller than ``graph.num_edges`` when the graph carries self-loops —
     # every per-edge array below must be sized by the masked count or the
     # seed indices drift out of alignment.
     m = src.size
@@ -239,7 +232,7 @@ def sample_sparsifier_edges(
         probs = downsampling_probabilities(
             src,
             dst,
-            flat.weighted_degrees(),
+            graph.weighted_degrees(),
             constant=config.downsample_constant,
             edge_weights=edge_w,
         )
@@ -272,7 +265,6 @@ def sample_sparsifier_edges(
         for index, (start, batch_rng) in enumerate(zip(starts, batch_rngs))
     ]
     context = {
-        # Walks run on the (possibly compressed) original graph.
         "graph": graph, "src": src, "dst": dst, "probs": probs,
         "window": config.window,
     }

@@ -37,38 +37,34 @@ execution substrates.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
 
 from repro import telemetry
 from repro.errors import SamplingError
-from repro.graph.compression import CompressedGraph
 from repro.graph.csr import CSRGraph
 from repro.sparsifier.path_sampling import PathSamplingConfig
 from repro.utils.parallel import default_workers, parallel_map, resolve_backend
 from repro.utils.rng import SeedLike, ensure_rng, spawn_batch_rngs
-
-GraphLike = Union[CSRGraph, CompressedGraph]
 
 # Sources per slab are capped so one frontier block stays cache-friendly even
 # with the default (walk-oriented) 2M batch_size.
 _MAX_SOURCE_BATCH = 16_384
 
 
-def walk_operator(graph: GraphLike) -> Tuple[sp.csr_matrix, np.ndarray, float]:
+def walk_operator(graph: CSRGraph) -> Tuple[sp.csr_matrix, np.ndarray, float]:
     """``(P, degrees, vol)`` — the row-stochastic transition matrix ``D⁻¹A``.
 
     Rows of isolated vertices are zero (their walk mass dies, matching the
     PathSampling process which can never seed there).
     """
-    flat = graph.decompress() if isinstance(graph, CompressedGraph) else graph
-    degrees = flat.weighted_degrees().astype(np.float64)
-    adjacency = flat.adjacency(dtype=np.float64)
+    degrees = graph.weighted_degrees().astype(np.float64)
+    adjacency = graph.adjacency(dtype=np.float64)
     inv = np.where(degrees > 0, 1.0 / np.maximum(degrees, 1e-300), 0.0)
     operator = (sp.diags(inv) @ adjacency).tocsr()
-    return operator, degrees, float(flat.volume)
+    return operator, degrees, float(graph.volume)
 
 
 def _prune_rows(matrix: sp.csr_matrix, floors: np.ndarray) -> sp.csr_matrix:
@@ -165,7 +161,7 @@ def _push_batch(
 
 
 def sample_ppr_counts(
-    graph: GraphLike,
+    graph: CSRGraph,
     config: PathSamplingConfig,
     seed: SeedLike = None,
     *,
@@ -206,13 +202,12 @@ def sample_ppr_counts(
         raise SamplingError(f"batch_size must be >= 1, got {batch_size}")
     if resolution <= 0:
         raise SamplingError(f"resolution must be > 0, got {resolution}")
-    flat = graph.decompress() if isinstance(graph, CompressedGraph) else graph
-    if flat.num_edges == 0:
+    if graph.num_edges == 0:
         raise SamplingError("cannot sparsify an empty graph")
     if config.num_samples <= 0:
         raise SamplingError("config.num_samples must be set (> 0)")
 
-    n = flat.num_vertices
+    n = graph.num_vertices
     source_batch = max(1, min(int(batch_size), _MAX_SOURCE_BATCH))
     starts = list(range(0, n, source_batch))
     if stats is not None:
@@ -223,7 +218,7 @@ def sample_ppr_counts(
         stats["backend"] = backend
         stats["resolution"] = float(resolution)
 
-    operator, degrees, volume = walk_operator(flat)
+    operator, degrees, volume = walk_operator(graph)
     all_sources = np.arange(n, dtype=np.int64)
     batch_rngs = spawn_batch_rngs(rng, len(starts))
     args = [

@@ -29,7 +29,6 @@ from repro.embedding.base import EmbeddingResult, score_edges, validate_dimensio
 from repro.embedding.netmf import netmf_matrix_dense
 from repro.errors import FactorizationError
 from repro.eval.node_classification import evaluate_node_classification
-from repro.graph.compression import compress_graph
 
 
 def micro_f1(result, labels, seed=1):
@@ -182,14 +181,6 @@ class TestLightNE:
     def test_with_multiplier(self):
         p = LightNEParams().with_multiplier(7.5)
         assert p.sample_multiplier == 7.5
-
-    def test_compressed_graph_input(self, sbm_bundle):
-        graph, labels = sbm_bundle
-        cg = compress_graph(graph)
-        r = lightne_embedding(
-            cg, LightNEParams(dimension=16, window=3, sample_multiplier=3), seed=0
-        )
-        assert micro_f1(r, labels) > 0.7
 
     def test_deterministic(self, sbm_bundle):
         graph, _ = sbm_bundle

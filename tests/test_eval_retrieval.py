@@ -8,7 +8,6 @@ import pytest
 from repro.errors import EvaluationError
 from repro.eval.retrieval import neighbor_retrieval, retrieval_sweep
 from repro.graph.builders import from_edges
-from repro.graph.compression import compress_graph
 from repro.graph.generators import dcsbm_graph
 
 
@@ -51,12 +50,6 @@ class TestNeighborRetrieval:
         ])
         result = neighbor_retrieval(vectors, g, k=2, num_queries=3, seed=0)
         assert result.recall == 1.0
-
-    def test_compressed_graph(self, embedded):
-        graph, vectors = embedded
-        cg = compress_graph(graph)
-        result = neighbor_retrieval(vectors, cg, k=5, seed=1)
-        assert result.k == 5
 
     def test_validation(self, embedded):
         graph, vectors = embedded

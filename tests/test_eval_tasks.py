@@ -17,7 +17,6 @@ from repro.eval.node_classification import (
     sweep_training_ratios,
 )
 from repro.graph.builders import from_edges
-from repro.graph.compression import compress_graph
 from repro.graph.generators import dcsbm_graph
 
 
@@ -119,11 +118,6 @@ class TestSplitEdges:
     def test_vertex_count_preserved(self, er_graph):
         train, _, _ = train_test_split_edges(er_graph, 0.3, seed=3)
         assert train.num_vertices == er_graph.num_vertices
-
-    def test_compressed_input(self, er_graph):
-        cg = compress_graph(er_graph)
-        train, pos_u, _ = train_test_split_edges(cg, 0.1, seed=4)
-        assert pos_u.size > 0
 
 
 class TestLinkPrediction:

@@ -15,7 +15,6 @@ from repro.graph.algorithms import (
     _expand_ranges,
 )
 from repro.graph.builders import from_edges
-from repro.graph.compression import compress_graph
 from repro.graph.generators import erdos_renyi_graph
 
 
@@ -64,10 +63,6 @@ class TestBFS:
         ours = bfs(er_graph, 0).astype(float)
         ours[ours < 0] = np.inf
         np.testing.assert_array_equal(ours, reference)
-
-    def test_compressed_graph(self, er_graph):
-        cg = compress_graph(er_graph)
-        np.testing.assert_array_equal(bfs(cg, 0), bfs(er_graph, 0))
 
 
 class TestConnectedComponents:
@@ -124,11 +119,6 @@ class TestPageRank:
         with pytest.raises(GraphConstructionError):
             pagerank(triangle, damping=1.5)
 
-    def test_compressed_graph(self, er_graph):
-        np.testing.assert_allclose(
-            pagerank(compress_graph(er_graph)), pagerank(er_graph)
-        )
-
 
 class TestTriangles:
     def test_triangle_graph(self, triangle):
@@ -167,4 +157,3 @@ class TestKCore:
     def test_core_upper_bounded_by_degree(self, er_graph):
         core = kcore_decomposition(er_graph)
         assert np.all(core <= er_graph.degrees())
-

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from repro.errors import CompressionError
 from repro.graph.builders import from_edges
 from repro.graph.compression import (
-    CompressedGraph,
     compress_graph,
     compression_ratio,
     decode_neighbors,
@@ -119,13 +118,7 @@ class TestCompressedGraph:
     def test_sizes_match(self, graphs):
         g, cg = graphs
         assert cg.num_vertices == g.num_vertices
-        assert cg.num_edges == g.num_edges
-        assert cg.volume == g.volume
-
-    def test_degrees_match(self, graphs):
-        g, cg = graphs
-        np.testing.assert_array_equal(cg.degrees(), g.degrees())
-        assert cg.degree(5) == g.degree(5)
+        np.testing.assert_array_equal(cg.degrees_array, g.degrees())
 
     def test_neighbors_match(self, graphs):
         g, cg = graphs
@@ -144,16 +137,7 @@ class TestCompressedGraph:
     def test_ith_neighbor_out_of_range(self, graphs):
         _, cg = graphs
         with pytest.raises(IndexError):
-            cg.ith_neighbor(0, int(cg.degree(0)))
-
-    def test_ith_neighbors_vectorized(self, graphs, rng):
-        g, cg = graphs
-        degrees = g.degrees()
-        vertices = np.flatnonzero(degrees > 2)[:20]
-        indices = rng.integers(0, degrees[vertices])
-        np.testing.assert_array_equal(
-            cg.ith_neighbors(vertices, indices), g.ith_neighbors(vertices, indices)
-        )
+            cg.ith_neighbor(0, int(cg.degrees_array[0]))
 
     def test_compression_saves_space_on_crawl(self, graphs):
         g, _ = graphs
@@ -163,14 +147,13 @@ class TestCompressedGraph:
     def test_weighted_graph_keeps_weights(self):
         g = from_edges([0, 1], [1, 2], [2.0, 3.0])
         cg = compress_graph(g)
-        assert cg.is_weighted
+        np.testing.assert_array_equal(cg.weights, g.weights)
         assert cg.decompress() == g
-        np.testing.assert_allclose(cg.weighted_degrees(), g.weighted_degrees())
 
     def test_empty_graph(self):
         g = from_edges([], [], num_vertices=3)
         cg = compress_graph(g)
-        assert cg.num_edges == 0
+        assert cg.payload.size == 0
         assert cg.decompress() == g
 
     def test_isolated_vertices(self):
@@ -196,6 +179,28 @@ class TestCompressedGraph:
         _, cg = graphs
         assert "CompressedGraph" in repr(cg)
 
+    @pytest.mark.parametrize("block_size", [1, 2, 64])
+    def test_payload_is_concatenated_vertex_codes(self, block_size):
+        # Leading and trailing isolated vertices around two non-empty runs.
+        g = from_edges([2, 2, 3, 6], [3, 4, 6, 7], num_vertices=10)
+        cg = compress_graph(g, block_size=block_size)
+        codes = [
+            encode_neighbors(u, g.neighbors(u), block_size)
+            for u in range(g.num_vertices)
+        ]
+        assert cg.payload.tobytes() == b"".join(code for code, _ in codes)
+        sizes = np.array([len(code) for code, _ in codes])
+        np.testing.assert_array_equal(
+            cg.vertex_offsets, np.concatenate(([0], np.cumsum(sizes)[:-1]))
+        )
+        blocks = np.array([b.size for _, b in codes])
+        np.testing.assert_array_equal(
+            cg.block_index, np.concatenate(([0], np.cumsum(blocks)))
+        )
+        np.testing.assert_array_equal(
+            cg.block_offsets, np.concatenate([b for _, b in codes])
+        )
+
     def test_block_size_tradeoff_monotone_size(self):
         # Larger blocks -> fewer per-block offsets -> smaller footprint.
         g = rmat_graph(9, 8, seed=4)
@@ -204,32 +209,33 @@ class TestCompressedGraph:
 
 
 class TestBulkDecode:
-    """The vectorized whole-graph decoder vs the scalar reference path."""
+    """The vectorized whole-graph decoder vs the per-vertex reference path."""
 
     @pytest.mark.parametrize("block_size", [1, 3, 64])
     def test_matches_scalar_path(self, block_size):
         g = rmat_graph(8, 6, seed=21)
         cg = compress_graph(g, block_size=block_size)
-        fast = cg.decompress(vectorized=True)
-        slow = cg.decompress(vectorized=False)
-        assert fast == slow == g
+        fast = cg.decompress()
+        assert fast == g
+        for u in range(cg.num_vertices):
+            np.testing.assert_array_equal(fast.neighbors(u), cg.neighbors(u))
 
     def test_multi_byte_varints(self):
         # Neighbor ids needing several varint bytes (gaps > 127).
         nbrs = np.array([5, 200, 20_000, 3_000_000])
         g = from_edges(np.zeros(4, dtype=int), nbrs, num_vertices=3_000_001)
         cg = compress_graph(g, block_size=2)
-        assert cg.decompress(vectorized=True) == g
+        assert cg.decompress() == g
 
     def test_isolated_vertices(self):
         g = from_edges([0, 5], [3, 7], num_vertices=10)
         cg = compress_graph(g)
-        assert cg.decompress(vectorized=True) == g
+        assert cg.decompress() == g
 
     def test_empty_graph(self):
         g = from_edges([], [], num_vertices=4)
         cg = compress_graph(g)
-        assert cg.decompress(vectorized=True) == g
+        assert cg.decompress() == g
 
     @given(
         st.lists(
@@ -251,4 +257,4 @@ class TestBulkDecode:
             return
         g = from_edges(src[keep], dst[keep], num_vertices=41)
         cg = compress_graph(g, block_size=block_size)
-        assert cg.decompress(vectorized=True) == g
+        assert cg.decompress() == g

@@ -74,6 +74,10 @@ class TestDegrees:
     def test_weighted_degrees_with_isolated_vertex(self):
         g = from_edges([0], [1], [2.0], num_vertices=4)
         np.testing.assert_allclose(g.weighted_degrees(), [2.0, 2.0, 0.0, 0.0])
+        # Trailing isolated vertex after a multi-edge row: its last weight
+        # must still count.
+        g = from_edges([0, 1], [2, 2], [1.0, 2.0], num_vertices=4)
+        np.testing.assert_allclose(g.weighted_degrees(), [1.0, 2.0, 3.0, 0.0])
 
     def test_volume_unweighted(self, triangle):
         assert triangle.volume == 6.0

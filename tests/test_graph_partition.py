@@ -7,7 +7,6 @@ import pytest
 
 from repro.errors import GraphConstructionError
 from repro.graph.builders import from_edges
-from repro.graph.compression import compress_graph
 from repro.graph.generators import dcsbm_graph
 from repro.graph.partition import (
     bfs_partition,
@@ -51,11 +50,6 @@ class TestBFSPartition:
         assignment = bfs_partition(g, 2, seed=0)
         assert assignment.size == 6
         assert set(np.unique(assignment)) <= {0, 1}
-
-    def test_compressed_input(self, sbm):
-        graph, _ = sbm
-        assignment = bfs_partition(compress_graph(graph), 3, seed=1)
-        assert assignment.size == graph.num_vertices
 
     def test_bfs_parts_locally_coherent(self, sbm):
         """Region-grown parts should cut far fewer edges than random parts."""

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.graph.builders import from_edges
-from repro.graph.compression import compress_graph
 from repro.graph.stats import (
     degree_histogram,
     normalized_laplacian,
@@ -28,10 +27,6 @@ class TestSummarize:
     def test_as_dict_keys(self, triangle):
         d = summarize(triangle).as_dict()
         assert "|V|" in d and "|E|" in d
-
-    def test_compressed_graph(self, er_graph):
-        cg = compress_graph(er_graph)
-        assert summarize(cg).num_edges == er_graph.num_edges
 
 
 class TestNormalizedLaplacian:

@@ -7,7 +7,6 @@ import pytest
 
 from repro.errors import SamplingError
 from repro.graph.builders import from_edges
-from repro.graph.compression import compress_graph
 from repro.graph.walks import random_walk_matrix_sample, step_random_walk
 
 
@@ -59,14 +58,6 @@ class TestStepRandomWalk:
         a = step_random_walk(er_graph, starts, steps, seed=9)
         b = step_random_walk(er_graph, starts, steps, seed=9)
         np.testing.assert_array_equal(a, b)
-
-    def test_compressed_graph_walks(self, er_graph):
-        cg = compress_graph(er_graph, block_size=4)
-        starts = np.arange(er_graph.num_vertices)
-        steps = np.full(starts.size, 3)
-        out = step_random_walk(cg, starts, steps, seed=4)
-        assert out.shape == starts.shape
-        assert out.min() >= 0 and out.max() < er_graph.num_vertices
 
     def test_stationary_distribution_proportional_to_degree(self):
         # Long walks on a connected non-bipartite graph approach pi ~ degree.
@@ -143,24 +134,3 @@ class TestSortedStrategy:
             er_graph, starts, np.full(starts.size, 5), seed=2, strategy="sorted"
         )
         assert out.shape == starts.shape
-
-    def test_compressed_graph(self, er_graph):
-        from repro.graph.compression import compress_graph
-
-        cg = compress_graph(er_graph)
-        starts = np.arange(er_graph.num_vertices)
-        out = step_random_walk(
-            cg, starts, np.full(starts.size, 3), seed=3, strategy="sorted"
-        )
-        assert out.min() >= 0
-
-
-class TestCompressedWeightedWalk:
-    def test_weights_respected_on_compressed_graph(self):
-        g = from_edges([0, 0], [1, 2], [100.0, 1.0])
-        cg = compress_graph(g)
-        wts = cg.neighbor_weights(0)
-        assert wts is not None and wts.size == 2
-        starts = np.zeros(400, dtype=np.int64)
-        out = step_random_walk(cg, starts, np.ones(400, dtype=np.int64), seed=2)
-        assert (out == 1).mean() > 0.9

@@ -2,7 +2,7 @@
 
 These encode the paper's qualitative claims at miniature scale:
 LightNE ≥ its ingredients, downsampling preserves quality while shrinking
-the sparsifier, compressed graphs give identical answers, and the Pareto
+the sparsifier, a compressed graph decodes to identical answers, and the Pareto
 story of Figure 2 (more samples → better quality).
 """
 
@@ -86,16 +86,17 @@ class TestQualityOrdering:
 
 
 class TestSubstrateEquivalence:
-    def test_compressed_and_raw_same_distribution(self, bundle):
-        """Embedding quality must be statistically identical on compressed
-        input (walks differ by RNG consumption, not by law)."""
-        graph, labels = bundle
+    def test_decompressed_input_same_bits(self, bundle):
+        """A compress/decompress round trip gives the same embedding bits;
+        the compressed graph itself is rejected at the pipeline boundary."""
+        graph, _ = bundle
         params = LightNEParams(dimension=16, window=3, sample_multiplier=5)
         raw = lightne_embedding(graph, params, seed=0)
-        compressed = lightne_embedding(compress_graph(graph), params, seed=0)
-        raw_f1 = classify(raw.vectors, labels)
-        comp_f1 = classify(compressed.vectors, labels)
-        assert abs(raw_f1 - comp_f1) < 0.1
+        compressed = compress_graph(graph)
+        decoded = lightne_embedding(compressed.decompress(), params, seed=0)
+        np.testing.assert_array_equal(decoded.vectors, raw.vectors)
+        with pytest.raises(TypeError, match="decompress"):
+            lightne_embedding(compressed, params, seed=0)
 
     def test_downsampling_quality_preserved(self, bundle):
         """§3.2: downsampling has 'negligible effects on quality' while

@@ -17,7 +17,6 @@ import scipy.sparse as sp
 from scipy.special import iv
 
 from repro.errors import FactorizationError
-from repro.graph.compression import CompressedGraph, compress_graph
 from repro.graph.generators import dcsbm_graph
 from repro.linalg.kernels import (
     cholesky_qr,
@@ -493,30 +492,6 @@ class TestPropagationOperatorCache:
         cached = propagation_operator(graph)
         direct = _row_normalized_adjacency(graph)
         np.testing.assert_array_equal(cached.toarray(), direct.toarray())
-
-    def test_compressed_graph_decompressed_once(self, bundle):
-        graph, _ = bundle
-        compressed = compress_graph(graph)
-        calls = {"n": 0}
-        original = CompressedGraph.decompress
-
-        def counting(self):
-            calls["n"] += 1
-            return original(self)
-
-        CompressedGraph.decompress = counting
-        try:
-            first = propagation_operator(compressed)
-            second = propagation_operator(compressed)
-            single = propagation_operator(compressed, np.float32)
-        finally:
-            CompressedGraph.decompress = original
-        assert first is second
-        assert single.dtype == np.float32
-        assert calls["n"] == 1
-        np.testing.assert_array_equal(
-            first.toarray(), propagation_operator(graph).toarray()
-        )
 
     def test_cache_not_part_of_equality(self, bundle):
         graph, _ = bundle
