@@ -24,7 +24,7 @@ import time
 import numpy as np
 import pytest
 
-from benchmarks.harness import RUNS_PATH, SEED, load, run_probe
+from benchmarks.harness import SEED, load, run_probe
 from repro.sparsifier.aggregation import aggregate_hash_sharded
 from repro.sparsifier.path_sampling import PathSamplingConfig, sample_sparsifier_edges
 
@@ -156,7 +156,6 @@ import numpy as np
 from repro.embedding.lightne import LightNEParams, lightne_embedding
 from repro.graph import io as graph_io
 from repro.graph.generators import rmat_graph
-from repro.telemetry import ledger
 from repro.telemetry.memory import MemorySampler
 backend = "__BACKEND__"
 g = rmat_graph(15, 8, seed=13)
@@ -173,13 +172,6 @@ with tempfile.TemporaryDirectory() as d:
             seed=2021,
         )
 p = sampler.profile
-ledger.record_result(
-    result, path=__LEDGER__, dataset="rmat15-ooc", seed=2021,
-    context="bench-e15-out-of-core",
-    extra=dict(anon_peak_bytes=p.anon_peak_bytes,
-               rss_peak_bytes=p.rss_peak_bytes,
-               workers=__WORKERS__),
-)
 print(json.dumps(dict(anon=p.anon_peak_bytes, rss=p.rss_peak_bytes,
                       checksum=float(result.vectors.sum()),
                       backend=result.info.get("backend"))))
@@ -228,7 +220,6 @@ def test_e15_out_of_core_end_to_end(table):
             _E2E_PROBE
             .replace("__BACKEND__", backend)
             .replace("__WORKERS__", str(workers))
-            .replace("__LEDGER__", repr(os.path.abspath(RUNS_PATH)))
         )
         return (backend, workers, run_probe(script))
 
@@ -236,7 +227,7 @@ def test_e15_out_of_core_end_to_end(table):
 
     table(
         "E15 — end-to-end LightNE rmat(15,8) d=64 w=5: thread/in-RAM vs "
-        "process/memmapped CSR v2 (bit-identical; runs recorded in ledger)",
+        "process/memmapped CSR v2 (bit-identical)",
         [
             {"backend": backend, "workers": workers,
              "anon_peak_MiB": _mib(r["anon"]), "rss_peak_MiB": _mib(r["rss"]),

@@ -16,13 +16,11 @@ MKL routines.  Three benchmarks:
   path's peak by ≥1.5×) and node-classification quality (micro-F1 within
   0.05 of the float64 run).
 
-Timings use ``time.perf_counter`` directly (best of ``REPEATS``); all rows
-are also dumped to ``benchmarks/results/e16_linalg_kernels.json``.
+Timings use ``time.perf_counter`` directly (best of ``REPEATS``).
 """
 
 from __future__ import annotations
 
-import json
 import os
 import time
 import tracemalloc
@@ -41,26 +39,6 @@ from repro.linalg.spectral import chebyshev_gaussian_filter, spectral_propagatio
 WORKER_SWEEP = (1, 2, 4, 8)
 REPEATS = 3
 DIMENSION = 128
-
-RESULTS_PATH = os.path.join(
-    os.path.dirname(__file__), "results", "e16_linalg_kernels.json"
-)
-
-
-def _record(section: str, payload) -> None:
-    """Merge one benchmark's rows into the shared JSON results file."""
-    os.makedirs(os.path.dirname(RESULTS_PATH), exist_ok=True)
-    document = {}
-    if os.path.exists(RESULTS_PATH):
-        try:
-            with open(RESULTS_PATH, encoding="utf-8") as handle:
-                document = json.load(handle)
-        except (OSError, ValueError):
-            document = {}
-    document[section] = payload
-    with open(RESULTS_PATH, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2, sort_keys=True)
-
 
 def _best_of(fn, repeats: int = REPEATS) -> float:
     best = float("inf")
@@ -120,7 +98,6 @@ def test_e16_spmm_thread_scaling(big_operator, table):
         "bit-identical to scipy at every width",
         rows,
     )
-    _record("spmm_thread_scaling", rows)
 
     cores = os.cpu_count() or 1
     if cores >= 8:
@@ -156,7 +133,6 @@ def test_e16_propagation_thread_scaling(bundle, table):
         "bit-identical at every width",
         rows,
     )
-    _record("propagation_thread_scaling", rows)
 
 
 def _factorize_and_propagate(graph, matrix, precision):
@@ -205,7 +181,6 @@ def test_e16_precision_sweep(bundle, table):
         f"peak-memory ratio {ratio:.2f}x",
         rows,
     )
-    _record("precision_sweep", rows)
 
     assert results["single"]["vectors"].dtype == np.float32
     assert ratio >= 1.5, (

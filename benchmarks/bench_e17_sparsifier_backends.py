@@ -4,9 +4,7 @@ The PR-8 backend layer makes the count-matrix estimator pluggable; this
 experiment compares the two backends at *equal sample budgets M* on the
 BlogCatalog analog, along the axes the paper uses for its own sparsifier
 (§5.3): nnz of the count matrix, wall-clock, peak anonymous/RSS memory
-(fresh process per configuration), and downstream micro-F1.  Every embed
-lands in the run ledger with ``params.sparsifier`` set, so both backends
-feed the regression gate and trajectory reports.
+(fresh process per configuration), and downstream micro-F1.
 """
 
 from __future__ import annotations
@@ -139,23 +137,3 @@ def test_e17_peak_memory(table):
     )
     for r in results.values():
         assert r["nnz"] > 0
-
-
-def test_e17_ledger_records_backend(bundle):
-    """Both backends' runs land in the ledger with params.sparsifier set —
-    the hook the regression gate keys baselines on."""
-    from benchmarks.harness import RUNS_PATH
-    from repro.telemetry import ledger
-
-    for sparsifier in ("path", "ppr"):
-        embed(
-            "lightne", bundle.graph, dimension=16, window=3,
-            multiplier=0.5, sparsifier=sparsifier,
-        )
-    records = ledger.load_records(RUNS_PATH)
-    seen = {
-        r.params.get("sparsifier")
-        for r in records
-        if r.method == "lightne" and r.dataset == "blogcatalog_like"
-    }
-    assert {"path", "ppr"} <= seen

@@ -7,9 +7,7 @@ axes the swap is supposed to move: operator pass counts (read from the
 telemetry counters — one streamed pass for the symmetric NetMF matrix vs
 ``2 + 2q`` for rSVD), wall-clock, peak anonymous/RSS memory (fresh
 process per configuration), and downstream micro-F1 (acceptance
-criterion: within 2 points of the rSVD baseline).  Every embed lands in
-the run ledger with ``params.factorizer`` set, so both factorizers feed
-the regression gate and trajectory reports.
+criterion: within 2 points of the rSVD baseline).
 """
 
 from __future__ import annotations
@@ -148,25 +146,3 @@ def test_e18_peak_memory(table):
     )
     for r in results.values():
         assert r["time_s"] > 0
-
-
-def test_e18_ledger_records_factorizer(bundle):
-    """Both factorizers' runs land in the ledger with params.factorizer
-    set — the hook the regression gate keys baselines on."""
-    from benchmarks.harness import RUNS_PATH
-    from repro.telemetry import ledger
-
-    for factorizer in ("rsvd", "single_pass"):
-        embed(
-            "lightne", bundle.graph, dimension=16, window=3,
-            multiplier=0.5, factorizer=factorizer,
-        )
-    embed("sketchne", bundle.graph, dimension=16, window=3, multiplier=0.5)
-    records = ledger.load_records(RUNS_PATH)
-    seen = {
-        r.params.get("factorizer")
-        for r in records
-        if r.method == "lightne" and r.dataset == "blogcatalog_like"
-    }
-    assert {"rsvd", "single_pass"} <= seen
-    assert any(r.method == "sketchne" for r in records)

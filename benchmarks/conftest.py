@@ -4,23 +4,17 @@ Each ``bench_e*.py`` file reproduces one table or figure from the paper
 (see DESIGN.md's experiment index).  Benchmarks time the real pipelines with
 pytest-benchmark and emit the paper-style rows through :func:`report_table`,
 which prints them in the terminal summary (so they survive pytest's output
-capture) and appends them to ``benchmarks/results/report.txt``.
-
-Set ``REPRO_TELEMETRY=1`` to run the benchmarks with the telemetry subsystem
-enabled; the metrics-registry snapshot is then written to
-``benchmarks/results/metrics.json`` alongside the report.
+capture).  Benchmarks write no file in the checkout; EXPERIMENTS.md holds
+the committed tables.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List
 
 import pytest
 
-_TABLES: List[tuple] = []
-
-RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
+_TABLES: List[str] = []
 
 
 def report_table(title: str, rows: List[Dict[str, object]]) -> str:
@@ -29,8 +23,7 @@ def report_table(title: str, rows: List[Dict[str, object]]) -> str:
     from repro.experiments import format_table
 
     text = format_table(rows)
-    block = f"\n=== {title} ===\n{text}\n"
-    _TABLES.append((title, block))
+    _TABLES.append(f"\n=== {title} ===\n{text}\n")
     return text
 
 
@@ -40,46 +33,9 @@ def table():
     return report_table
 
 
-def pytest_configure(config):
-    if os.environ.get("REPRO_TELEMETRY"):
-        from repro import telemetry
-
-        telemetry.enable()
-
-
-@pytest.fixture(autouse=True, scope="session")
-def _record_runs():
-    """Benchmark sessions always feed the run ledger: every run_pipeline
-    call (harness.embed and the experiments-runner paths alike) appends a
-    RunRecord, building the perf trajectory the regression gate reads."""
-    from benchmarks.harness import RUNS_PATH
-    from repro.telemetry import ledger
-
-    with ledger.enabled_scope(path=RUNS_PATH):
-        yield
-
-
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
-    from benchmarks.harness import RUNS_PATH
-    from repro.telemetry import ledger
-
-    if os.path.exists(RUNS_PATH):
-        terminalreporter.write_line(
-            f"run ledger -> {RUNS_PATH} "
-            f"({len(ledger.RunLedger(RUNS_PATH).records())} records)"
-        )
-    if os.environ.get("REPRO_TELEMETRY"):
-        from benchmarks.harness import write_metrics_snapshot
-
-        os.makedirs(RESULTS_DIR, exist_ok=True)
-        written = write_metrics_snapshot(os.path.join(RESULTS_DIR, "metrics.json"))
-        if written:
-            terminalreporter.write_line(f"telemetry metrics -> {written}")
     if not _TABLES:
         return
     terminalreporter.section("paper-table reproductions")
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    with open(os.path.join(RESULTS_DIR, "report.txt"), "a", encoding="utf-8") as out:
-        for _, block in _TABLES:
-            terminalreporter.write(block)
-            out.write(block)
+    for block in _TABLES:
+        terminalreporter.write(block)

@@ -20,13 +20,8 @@ from repro.eval import (
     train_test_split_edges,
 )
 from repro.systems.cost import estimate_cost
-from repro.telemetry import ledger
 
 SEED = 2021  # the year of the paper; fixed everywhere for comparability
-
-# Benchmark runs are *always* recorded to the run ledger (the bench
-# trajectory is the whole point of the benchmarks).
-RUNS_PATH = os.path.join(os.path.dirname(__file__), "results", "runs.jsonl")
 
 
 def embed(method: str, graph, *, dimension=32, window=5, multiplier=1.0, seed=SEED,
@@ -37,19 +32,15 @@ def embed(method: str, graph, *, dimension=32, window=5, multiplier=1.0, seed=SE
     Thin wrapper over :func:`repro.experiments.runner.dispatch_method` (which
     resolves ``method`` through :mod:`repro.embedding.registry`) so the
     benchmarks and the library's programmatic experiment API stay in sync.
-    Every call appends one :class:`~repro.telemetry.ledger.RunRecord` to
-    ``benchmarks/results/runs.jsonl`` — the run ledger the regression gate
-    and trajectory reports consume.
     """
     from repro.experiments.runner import dispatch_method
 
-    with ledger.enabled_scope(path=RUNS_PATH):
-        return dispatch_method(
-            method, graph, dimension=dimension, window=window,
-            multiplier=multiplier, propagate=propagate, downsample=downsample,
-            workers=workers, precision=precision, sparsifier=sparsifier,
-            factorizer=factorizer, seed=seed,
-        )
+    return dispatch_method(
+        method, graph, dimension=dimension, window=window,
+        multiplier=multiplier, propagate=propagate, downsample=downsample,
+        workers=workers, precision=precision, sparsifier=sparsifier,
+        factorizer=factorizer, seed=seed,
+    )
 
 
 def classification_row(
@@ -148,12 +139,7 @@ def cost_of(method: str, seconds: float) -> float:
 
 
 def load(name: str):
-    """Dataset loader with the harness-wide seed.
-
-    Also declares ``name`` as the dataset context for the run ledger, so
-    records produced by subsequent :func:`embed` calls carry it.
-    """
-    ledger.set_dataset(name)
+    """Dataset loader with the harness-wide seed."""
     return load_dataset(name, seed=SEED)
 
 
@@ -184,21 +170,3 @@ def run_probe(script: str, *, env: Optional[Dict[str, str]] = None) -> Dict:
         )
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
-
-def write_metrics_snapshot(path: str) -> Optional[str]:
-    """Dump the telemetry metrics registry as JSON to ``path``.
-
-    No-op (returns ``None``) when telemetry is disabled or nothing was
-    recorded; otherwise returns ``path``.  The benchmark conftest calls this
-    so metric snapshots land in ``benchmarks/results/`` next to
-    ``report.txt`` when the run was launched with ``REPRO_TELEMETRY=1``.
-    """
-    from repro import telemetry
-
-    if not telemetry.is_enabled():
-        return None
-    registry = telemetry.get_metrics()
-    if not registry.names():
-        return None
-    registry.write_json(path)
-    return path

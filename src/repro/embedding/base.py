@@ -244,7 +244,7 @@ def run_pipeline(
     result = EmbeddingResult(
         vectors=vectors, method=spec.name, timer=timer, info=info
     )
-    # Opt-in run ledger (ledger.enabled_scope: CLI --observe or the benchmark
-    # harness): one persisted RunRecord per pipeline run.
+    # Opt-in run ledger (ledger.enabled_scope, e.g. CLI --observe): one
+    # persisted RunRecord per pipeline run.
     ledger.maybe_record(result, seed=seed, context="run_pipeline")
     return result

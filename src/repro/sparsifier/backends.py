@@ -18,8 +18,8 @@ backend honors the same contract:
   per-batch RNG-stream decomposition;
 * the stage lands on the caller's :class:`~repro.utils.timer.StageTimer`
   under ``"sparsifier"`` with the shared counters (walk_samples, batches,
-  workers, samples_per_sec, peak table bytes), so traces, the run ledger and
-  the regression gate see every backend the same way.
+  workers, samples_per_sec, peak table bytes), so traces and the run
+  ledger see every backend the same way.
 
 Backends:
 
@@ -59,8 +59,8 @@ from repro.utils.parallel import default_workers, resolve_backend
 from repro.utils.rng import SeedLike, ensure_rng
 from repro.utils.timer import StageTimer
 
-# Stats keys promoted to StageTimer counters — the ledger/regression-gate
-# contract shared by every backend (mirrors build_netmf_sparsifier).
+# Stats keys promoted to StageTimer counters — the run-ledger contract
+# shared by every backend (mirrors build_netmf_sparsifier).
 _STAGE_COUNTERS = (
     "walk_samples", "batches", "workers", "samples_per_sec",
     "peak_table_bytes",

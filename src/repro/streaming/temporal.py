@@ -12,7 +12,7 @@ earlier (:func:`repro.eval.link_prediction.evaluate_link_prediction`), then
 applied and re-embedded.  When the run ledger is enabled every epoch appends
 a :class:`~repro.telemetry.ledger.RunRecord` carrying the scores in its
 ``quality`` field, so temporal quality trajectories live next to the static
-benchmarks in the same JSONL and feed the same regression tooling.
+runs in the same JSONL.
 """
 
 from __future__ import annotations

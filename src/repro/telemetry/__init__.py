@@ -21,15 +21,10 @@ The observability substrate for the whole pipeline (see
 
 On top of the substrate sits the *persistence* layer:
 
-* **Ledger** (:mod:`repro.telemetry.ledger`) — every pipeline run appends
-  one :class:`RunRecord` (params hash, environment fingerprint, Table-5
-  stage times, metrics, peak RSS) to ``benchmarks/results/runs.jsonl``;
-* **Regression gate** (:mod:`repro.telemetry.regression`, CLI
-  ``python -m repro.telemetry.regress``) — noise-aware median/MAD
-  comparison of new runs against ledger baselines;
-* **Reports** (:mod:`repro.telemetry.report`, CLI
-  ``python -m repro.telemetry.report``) — terminal and self-contained
-  HTML trajectory/stage-breakdown/flamegraph rendering;
+* **Ledger** (:mod:`repro.telemetry.ledger`) — every pipeline run inside
+  a ledger scope appends one :class:`RunRecord` (params hash, environment
+  fingerprint, Table-5 stage times, metrics, peak RSS, stage digests) to a
+  JSONL file;
 * **Numerical health** (:mod:`repro.telemetry.health`) — per-stage
   content digests plus contract probes (sparsifier mass,
   factorization residual, finiteness), recorded into spans, metrics and
@@ -39,8 +34,9 @@ On top of the substrate sits the *persistence* layer:
   ``lightne audit`` / ``python -m repro.telemetry.audit``) — diffs two
   ledger runs digest by digest and localizes the first diverging stage.
 
-Everything is **disabled by default** and the instrumentation left in the
-hot paths costs a single gated function call in that state.  One switch
+Everything is **disabled by default**: each hook in the hot paths checks
+one flag and returns (``docs/observability.md`` has the measured tracer
+cost).  One switch
 turns all of it on for a block and writes the run bundle
 (:mod:`repro.telemetry.bundle`: ``trace.json``, ``metrics.json``,
 ``runs.jsonl``, ``log.txt``)::

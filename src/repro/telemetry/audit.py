@@ -32,8 +32,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.telemetry.ledger import DEFAULT_PATH, RunLedger, RunRecord
-from repro.telemetry.report import format_rows
+from repro.telemetry.ledger import RunLedger, RunRecord
 
 
 @dataclass
@@ -270,6 +269,10 @@ def run_audit(
     table_out: Optional[str] = None,
 ) -> int:
     """The audit command body; returns the process exit code."""
+    # Lazy: experiments is a layer above telemetry (it loads datasets,
+    # methods and evaluators), so a module-level import would pull it in.
+    from repro.experiments import format_table
+
     records = RunLedger(ledger_path).records()
     if method:
         records = [r for r in records if r.method == method]
@@ -289,7 +292,7 @@ def run_audit(
     ]
     for warning in report.warnings:
         lines.append(f"  warning: {warning}")
-    table = format_rows(report.rows()) if report.deltas else "(no stage digests)"
+    table = format_table(report.rows()) if report.deltas else "(no stage digests)"
     lines.append(table)
     if report.identical:
         lines.append(
@@ -343,9 +346,9 @@ def add_audit_arguments(parser: argparse.ArgumentParser) -> None:
              "nearest earlier run of the same method × dataset",
     )
     parser.add_argument(
-        "--ledger", default=DEFAULT_PATH,
+        "--ledger", required=True,
         help="run-ledger JSONL path, e.g. DIR/runs.jsonl of an --observe "
-             "bundle (default: benchmarks/results/runs.jsonl)",
+             "bundle",
     )
     parser.add_argument("--method", help="consider only this method's runs")
     parser.add_argument("--dataset", help="consider only this dataset's runs")

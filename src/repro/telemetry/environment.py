@@ -10,8 +10,8 @@ git SHA of the working tree when one is available.
 :func:`collect_fingerprint` is cached per process — the git subprocess and
 ``/proc/cpuinfo`` parse run once.  :func:`fingerprint_key` hashes the
 *comparability-relevant* subset (everything except the git SHA, which
-changes per commit but not per machine) into a short stable key that the
-regression detector uses for baseline selection.
+changes per commit but not per machine) into a short stable key stored on
+every ledger record.
 """
 
 from __future__ import annotations
@@ -129,8 +129,7 @@ def fingerprint_key(env: Optional[Dict[str, object]] = None) -> str:
     """Short stable hash of the comparability-relevant fingerprint fields.
 
     Two runs with the same key ran on interchangeable hardware/software and
-    their wall times may be compared directly; the regression detector
-    treats a key mismatch as "warn, don't gate".
+    their wall times may be compared directly.
     """
     env = env if env is not None else collect_fingerprint()
     subset = {field: env.get(field) for field in _KEY_FIELDS}

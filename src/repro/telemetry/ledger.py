@@ -1,21 +1,19 @@
 """The run ledger: every pipeline run becomes one persisted ``RunRecord``.
 
-PR 2's spans and metrics evaporate at process exit, so nothing could say
-whether a change made the sparsifier 2× slower.  The ledger fixes that:
-each run appends one structured JSON line — method, canonical params hash,
-dataset, seed, environment fingerprint, the Table-5 per-stage wall times
-lifted from the run's :class:`~repro.utils.timer.StageTimer`, a compacted
-metrics snapshot, peak RSS and optional quality metrics — to
-``benchmarks/results/runs.jsonl`` via a crash-safe atomic append
-(:func:`repro.utils.fileio.append_line`).  Downstream,
-:mod:`repro.telemetry.regression` selects baselines from the ledger and
-:mod:`repro.telemetry.report` renders trajectories from it.
+Spans and metrics evaporate at process exit; the ledger keeps what a later
+comparison needs.  Each run appends one structured JSON line — method,
+canonical params hash, dataset, seed, environment fingerprint, the Table-5
+per-stage wall times lifted from the run's
+:class:`~repro.utils.timer.StageTimer`, a compacted metrics snapshot, peak
+RSS, optional quality metrics and the numerical-health ``digests`` — via a
+crash-safe atomic append (:func:`repro.utils.fileio.append_line`).
+Downstream, ``lightne audit`` (:mod:`repro.telemetry.audit`) diffs two
+records' stage digests.
 
 Recording is **opt-in** and piggybacks on :func:`repro.embedding.base.run_pipeline`:
 runs inside an :func:`enabled_scope` block are recorded.  The CLI's
 ``--observe DIR`` bundle (:func:`repro.telemetry.bundle.observe`) opens one
-on ``DIR/runs.jsonl``; ``benchmarks/harness.embed`` and the benchmark
-session fixture open one so benchmark runs are *always* recorded.
+on ``DIR/runs.jsonl``.
 
 Because graphs don't know their dataset name (``CSRGraph`` is slotted),
 the dataset travels through a module-level context: loaders call
@@ -41,8 +39,6 @@ from repro.utils.log import get_logger
 logger = get_logger(__name__)
 
 SCHEMA_VERSION = 1
-
-DEFAULT_PATH = os.path.join("benchmarks", "results", "runs.jsonl")
 
 # Fields every schema-valid record line must carry.
 REQUIRED_FIELDS = (
@@ -118,31 +114,6 @@ class RunRecord:
             self.params_hash = params_hash(self.params)
         if not self.fingerprint:
             self.fingerprint = fingerprint_key(self.env) if self.env else ""
-
-    # -------------------------------------------------------------- identity
-    @property
-    def key(self) -> Tuple[str, str, str]:
-        """Baseline-selection identity: method × dataset × params hash."""
-        return (self.method, self.dataset, self.params_hash)
-
-    @property
-    def git_sha(self) -> Optional[str]:
-        """Commit the run was taken at, when the fingerprint captured one."""
-        sha = self.env.get("git_sha")
-        return str(sha) if sha else None
-
-    def stage_seconds(self, stage: str) -> Optional[float]:
-        """Seconds for ``stage`` (``"total"`` works too), ``None`` if absent."""
-        if stage == "total":
-            return self.total_s
-        value = self.stages.get(stage)
-        if value is None:
-            return None
-        try:
-            value = float(value)
-        except (TypeError, ValueError):
-            return None
-        return value
 
     # ----------------------------------------------------------- (de)ser
     def to_dict(self) -> Dict[str, object]:
@@ -221,7 +192,7 @@ def validate_record(data: Mapping[str, object]) -> List[str]:
 class RunLedger:
     """Append-only JSONL store of :class:`RunRecord` lines."""
 
-    def __init__(self, path: Union[str, "os.PathLike"] = DEFAULT_PATH) -> None:
+    def __init__(self, path: Union[str, "os.PathLike"]) -> None:
         self.path = os.fspath(path)
 
     def append(self, record: RunRecord) -> RunRecord:
@@ -256,14 +227,6 @@ class RunLedger:
         """All parseable records, in append (chronological) order."""
         return list(self.iter_records())
 
-    def __len__(self) -> int:
-        return len(self.records())
-
-
-def load_records(path: Union[str, "os.PathLike"]) -> List[RunRecord]:
-    """Convenience: the records of the ledger at ``path``."""
-    return RunLedger(path).records()
-
 
 # ---------------------------------------------------------------------------
 # Process-level opt-in state: is recording on, where, and for which dataset.
@@ -280,9 +243,9 @@ def is_enabled() -> bool:
     return _enabled
 
 
-def active_path() -> str:
-    """The ledger file new records go to (the scope's path, else the default)."""
-    return _path if _path is not None else DEFAULT_PATH
+def active_path() -> Optional[str]:
+    """The ledger file new records go to (``None`` outside any scope)."""
+    return _path
 
 
 def set_dataset(name: Optional[str]) -> None:
@@ -298,16 +261,16 @@ def current_dataset() -> Optional[str]:
 
 @contextmanager
 def enabled_scope(
-    path: Optional[Union[str, "os.PathLike"]] = None,
+    path: Union[str, "os.PathLike"],
     dataset: Optional[str] = None,
 ) -> Iterator[None]:
-    """Record every run in the block; the previous state returns on exit."""
+    """Record every run in the block to the ledger at ``path``; the previous
+    state returns on exit."""
     global _enabled, _path, _dataset
     with _state_lock:
         prev = (_enabled, _path, _dataset)
         _enabled = True
-        if path is not None:
-            _path = os.fspath(path)
+        _path = os.fspath(path)
         if dataset is not None:
             _dataset = dataset
     try:
@@ -480,12 +443,16 @@ def record_result(
     context: str = "",
     extra: Optional[Mapping[str, object]] = None,
 ) -> RunRecord:
-    """Build a record from ``result`` and append it to the ledger."""
+    """Build a record from ``result`` and append it to the ledger at
+    ``path`` (default: the enclosing :func:`enabled_scope`'s)."""
+    path = path if path is not None else active_path()
+    if path is None:
+        raise ValueError("record_result needs a path outside a ledger scope")
     record = build_record(
         result, dataset=dataset, seed=seed, quality=quality,
         context=context, extra=extra,
     )
-    RunLedger(path if path is not None else active_path()).append(record)
+    RunLedger(path).append(record)
     return record
 
 

@@ -286,6 +286,12 @@ class TestAuditCLI:
             == 1
         )
 
+    def test_ledger_is_required(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            audit.main(["1", "2"])
+        assert excinfo.value.code == 2
+        assert "--ledger" in capsys.readouterr().err
+
     def test_lightne_cli_audit_subcommand(self, two_run_ledger, capsys):
         from repro.cli import main as cli_main
 

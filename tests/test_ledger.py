@@ -93,7 +93,6 @@ class TestRunRecord:
         )
         back = RunRecord.from_dict(json.loads(record.to_json()))
         assert back.to_dict() == record.to_dict()
-        assert back.key == record.key
 
     def test_schema_valid(self):
         record = RunRecord(method="m", dataset="d", env={"cpu_model": "x"})
@@ -103,14 +102,6 @@ class TestRunRecord:
         problems = validate_record({"method": "m"})
         assert any("run_id" in p for p in problems)
         assert any("stages" in p for p in problems)
-
-    def test_stage_seconds_total_and_missing(self):
-        record = RunRecord(
-            method="m", dataset="d", stages={"svd": 2.0}, total_s=3.0
-        )
-        assert record.stage_seconds("svd") == 2.0
-        assert record.stage_seconds("total") == 3.0
-        assert record.stage_seconds("nope") is None
 
     def test_compact_metrics_drops_buckets(self):
         snapshot = {
@@ -214,6 +205,11 @@ class TestPipelineWiring:
         assert back.quality == {"micro@0.1": 30.5}
         assert back.run_id == record.run_id
         assert back.context == "test"
+
+    def test_record_result_needs_a_path_outside_a_scope(self, graph):
+        result = run_method("lightne", graph, seed=0, dimension=8, window=3)
+        with pytest.raises(ValueError, match="path"):
+            ledger.record_result(result)
 
 
 # ---------------------------------------------------------------------------

@@ -424,7 +424,7 @@ class TestTemporalReplay:
                 ),
                 epochs=3, num_negatives=20, num_vertices=n, seed=0,
             )
-        records = ledger.load_records(path)
+        records = ledger.RunLedger(path).records()
         epoch_records = [
             r for r in records if str(r.context).startswith("temporal.epoch")
         ]

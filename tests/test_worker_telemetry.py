@@ -21,7 +21,6 @@ from repro.telemetry import progress as progress_mod
 from repro.telemetry import worker as worker_mod
 from repro.telemetry.ledger import build_record
 from repro.telemetry.metrics import Histogram, MetricsRegistry
-from repro.telemetry.report import flame_boxes
 from repro.telemetry.tracer import Tracer
 from repro.utils.parallel import parallel_map
 from repro.utils.timer import StageTimer
@@ -332,21 +331,6 @@ class TestMultiPidTrace:
             and e["pid"] == 555
             for e in events
         )
-
-    def test_flame_boxes_do_not_cross_nest_pids(self, enabled):
-        # Same tid in two pids, overlapping in time: tid-only grouping
-        # would stack one inside the other.
-        doc = {
-            "traceEvents": [
-                {"ph": "X", "name": "a", "pid": 1, "tid": 1,
-                 "ts": 0.0, "dur": 100.0},
-                {"ph": "X", "name": "b", "pid": 2, "tid": 1,
-                 "ts": 10.0, "dur": 50.0},
-            ]
-        }
-        boxes = flame_boxes(doc)
-        assert {b["depth"] for b in boxes} == {0}
-        assert {(b["pid"], b["tid"]) for b in boxes} == {(1, 1), (2, 1)}
 
 
 # ---------------------------------------------------------------------------
